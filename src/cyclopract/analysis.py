@@ -10,19 +10,24 @@ count can be off by a float boundary.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from dataclasses import dataclass
-from math import exp, gcd, isfinite, lcm, log
+from math import exp, isfinite, lcm, log
+from operator import add, floordiv, mul
 
 from .arith import (
     SpfTable,
     build_spf_table,
-    charge_budget,
+    divisors_and_phis,
     divisors_sorted,
+    factorize,
     factorize_trial,
     is_prime,
+    lambda_prime_power,
+    prime_power_sieve,
+    prime_powers,
 )
-from .errors import CapacityError
-from .orders import OrderTable, mult_order
+from .orders import OrderTable
 
 THETA_MIN = 0.1
 THETA_MAX = 0.9
@@ -106,28 +111,6 @@ def _ratio_parts(z) -> tuple[int, int]:
     return num, den
 
 
-def _sorted_divisors(n: int, spf: array) -> list[int]:
-    divs = [1]
-    m = n
-    while m > 1:
-        q = spf[m]
-        m //= q
-        e = 1
-        while m > 1 and spf[m] == q:
-            m //= q
-            e += 1
-        width = len(divs)
-        qq = q
-        while True:
-            divs.extend(divs[i] * qq for i in range(width))
-            if e == 1:
-                break
-            e -= 1
-            qq *= q
-    divs.sort()
-    return divs
-
-
 def is_z_dense(n: int, z, table: SpfTable | None = None) -> bool:
     """True when every consecutive divisor ratio d_{i+1}/d_i is <= Z.
 
@@ -141,10 +124,8 @@ def is_z_dense(n: int, z, table: SpfTable | None = None) -> bool:
         raise ValueError(f"Z must be >= 2, got {z}")
     if n == 1:
         return True
-    if table is not None and n <= table.limit:
-        divs = _sorted_divisors(n, table.spf)
-    else:
-        divs = divisors_sorted(factorize_trial(n))
+    f = factorize(n, table) if table is not None and n <= table.limit else factorize_trial(n)
+    divs = divisors_sorted(f)
     for prev, cur in zip(divs, divs[1:]):
         if cur * den > num * prev:
             return False
@@ -162,7 +143,8 @@ def count_z_dense(limit: int, z, table: SpfTable | None = None) -> int:
     spf = table.spf
     count = 1  # n = 1
     for n in range(2, limit + 1):
-        divs = _sorted_divisors(n, spf)
+        divs = divisors_and_phis(n, spf)[0]
+        divs.sort()
         for prev, cur in zip(divs, divs[1:]):
             if cur * den > num * prev:
                 break
@@ -198,86 +180,13 @@ def a_q_primes(a: int, q: int, bound: int, table: SpfTable | None = None) -> lis
     return out
 
 
-@dataclass(frozen=True)
-class PrimeWindow:
-    """Primes = 1 (mod q) in the window (lower, upper]."""
-
-    q: int
-    lower: float
-    upper: float
-    primes: tuple[int, ...]
-
-
-LP2_WINDOW_CAP = 10**8
-
-
-def lp2_range_primes(q: int, cap: int = LP2_WINDOW_CAP) -> PrimeWindow:
-    """The window (q^2/(4 log^2 q), q^2 log^4 q] and its primes = 1 (mod q)."""
-    if q < 3 or not is_prime(q):
-        raise ValueError(f"q must be a prime >= 3, got {q}")
-    lq = log(q)
-    lower = q * q / (4.0 * lq * lq)
-    upper = q * q * lq**4
-    if upper > cap:
-        raise CapacityError(f"window upper end {upper:.3e} exceeds cap {cap}")
-    hi = int(upper)
-    primes = [p for p in range(q + 1, hi + 1, q) if p > lower and is_prime(p)]
-    return PrimeWindow(q=q, lower=lower, upper=upper, primes=tuple(primes))
-
-
-def _lambda_prime_power(q: int, e: int) -> int:
-    if q == 2:
-        if e == 1:
-            return 1
-        if e == 2:
-            return 2
-        return 1 << (e - 2)
-    return q ** (e - 1) * (q - 1)
-
-
 def lambda_star_table(limit: int, table: SpfTable, skip_base: int | None = None) -> array:
     """lambda of the largest divisor of n coprime to skip_base, for n <= limit.
 
-    skip_base None computes plain lambda(n).  Same incremental scheme as the
-    order sieve: split off the smallest prime power and merge with lcm.
+    skip_base None computes plain lambda(n): ``prime_power_sieve`` with lcm
+    over the lambda(q^e) of the prime powers of n.
     """
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
-    if table.limit < limit:
-        raise ValueError(f"spf table limit {table.limit} below {limit}")
-    charge_budget(4 * (limit + 1), "lambda table")
-    skip = (
-        frozenset()
-        if skip_base is None
-        else frozenset(q for q, _ in factorize_trial(skip_base).factors)
-    )
-    spf = table.spf
-    values = array("I", bytes(4 * (limit + 1)))
-    values[1] = 1
-    for d in range(2, limit + 1):
-        q = spf[d]
-        m = d // q
-        e = 1
-        while m > 1 and spf[m] == q:
-            m //= q
-            e += 1
-        if q in skip:
-            values[d] = values[m]
-        else:
-            values[d] = lcm(values[m], _lambda_prime_power(q, e))
-    return values
-
-
-def _largest_prime_factor_sieved(m: int, spf: array) -> int:
-    if m == 1:
-        return 1
-    largest = 1
-    while m > 1:
-        largest = spf[m]
-        m //= largest
-        while m > 1 and spf[m] == largest:
-            m //= largest
-    return largest
+    return prime_power_sieve(limit, table, lambda_prime_power, lcm, skip_base=skip_base)
 
 
 @dataclass(frozen=True)
@@ -308,23 +217,15 @@ def lambda_order_ratio_stats(
     if order_table.limit < limit or spf_table.limit < limit:
         raise ValueError("tables do not cover the requested limit")
     lam = lambda_star_table(limit, spf_table, skip_base=a)
-    ords = order_table.values
     spf = spf_table.spf
     counts: dict[int, int] = {}
-    exceed = 0
-    for n in range(1, limit + 1):
-        ratio = lam[n] // ords[n]
-        biggest = _largest_prime_factor_sieved(ratio, spf)
-        counts[biggest] = counts.get(biggest, 0) + 1
-        if psi is not None and biggest >= psi:
-            exceed += 1
-    return RatioStats(
-        base=a,
-        limit=limit,
-        counts=counts,
-        psi=psi,
-        exceed_psi=exceed if psi is not None else None,
-    )
+    for ratio, c in Counter(map(floordiv, lam[1:], order_table.values[1 : limit + 1])).items():
+        biggest = max((q for q, _ in prime_powers(ratio, spf)), default=1)
+        counts[biggest] = counts.get(biggest, 0) + c
+    exceed = None
+    if psi is not None:
+        exceed = sum(c for biggest, c in counts.items() if biggest >= psi)
+    return RatioStats(base=a, limit=limit, counts=counts, psi=psi, exceed_psi=exceed)
 
 
 def small_order_count(a: int, limit: int, bound, order_table: OrderTable) -> int:
@@ -342,34 +243,18 @@ def small_order_count(a: int, limit: int, bound, order_table: OrderTable) -> int
 
 
 def omega_phi_distribution(limit: int, table: SpfTable | None = None) -> dict[int, int]:
-    """Histogram of Omega(phi(n)) for n <= limit."""
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
+    """Histogram of Omega(phi(n)) for n <= limit.
+
+    Omega(phi(q^e)) = e - 1 + Omega(q - 1) and Omega(phi) is additive over
+    coprime factors, so ``prime_power_sieve`` with + tabulates it.
+    """
     table = _require_spf(limit, table)
     spf = table.spf
-    omega_pm1: dict[int, int] = {2: 0}
-    dist: dict[int, int] = {}
-    for n in range(1, limit + 1):
-        total = 0
-        m = n
-        while m > 1:
-            q = spf[m]
-            m //= q
-            e = 1
-            while m > 1 and spf[m] == q:
-                m //= q
-                e += 1
-            om = omega_pm1.get(q)
-            if om is None:
-                om = 0
-                k = q - 1
-                while k > 1:
-                    k //= spf[k]
-                    om += 1
-                omega_pm1[q] = om
-            total += e - 1 + om
-        dist[total] = dist.get(total, 0) + 1
-    return dist
+
+    def omega_phi_prime_power(q: int, e: int) -> int:
+        return e - 1 + sum(k for _, k in prime_powers(q - 1, spf))
+
+    return dict(Counter(prime_power_sieve(limit, table, omega_phi_prime_power, add, unit=0)[1:]))
 
 
 def omega_phi_excess(limit: int, X: int | None = None, table: SpfTable | None = None) -> int:
@@ -382,30 +267,12 @@ def omega_phi_excess(limit: int, X: int | None = None, table: SpfTable | None = 
 
 
 def tau_threshold_count(limit: int, kappa, table: SpfTable | None = None) -> int:
-    """#{n <= limit : tau(n) >= kappa}."""
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
+    """#{n <= limit : tau(n) >= kappa}; tau by ``prime_power_sieve`` with *."""
     if kappa < 1:
         raise ValueError(f"kappa must be >= 1, got {kappa}")
-    if limit == 1:
-        return 1 if 1 >= kappa else 0
     table = _require_spf(limit, table)
-    spf = table.spf
-    count = 1 if 1 >= kappa else 0  # n = 1 has tau = 1
-    for n in range(2, limit + 1):
-        t = 1
-        m = n
-        while m > 1:
-            q = spf[m]
-            m //= q
-            e = 1
-            while m > 1 and spf[m] == q:
-                m //= q
-                e += 1
-            t *= e + 1
-        if t >= kappa:
-            count += 1
-    return count
+    taus = Counter(prime_power_sieve(limit, table, lambda q, e: e + 1, mul)[1:])
+    return sum(c for t, c in taus.items() if t >= kappa)
 
 
 def tau_bound_ratio(limit: int, kappa, count: int) -> float:
@@ -416,36 +283,24 @@ def tau_bound_ratio(limit: int, kappa, count: int) -> float:
 def smooth_lambda_part_count(
     limit: int, bound: int, threshold, table: SpfTable | None = None
 ) -> int:
-    """#{n <= limit : the bound-smooth part of lambda(n) exceeds threshold}."""
+    """#{n <= limit : the bound-smooth part of lambda(n) exceeds threshold}.
+
+    The smooth part of an lcm is the lcm of the smooth parts, so
+    ``prime_power_sieve`` with lcm over the smooth parts of lambda(q^e)
+    tabulates it.
+    """
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
     table = _require_spf(limit, table)
     spf = table.spf
-    lam = lambda_star_table(limit, table)
-    count = 0
-    for n in range(1, limit + 1):
-        m = lam[n]
+
+    def smooth_lambda_prime_power(q: int, e: int) -> int:
         part = 1
-        while m > 1:
-            q = spf[m]
-            if q > bound:
+        for r, k in prime_powers(lambda_prime_power(q, e), spf):
+            if r > bound:
                 break
-            qq = 1
-            m //= q
-            qq *= q
-            while m > 1 and spf[m] == q:
-                m //= q
-                qq *= q
-            part *= qq
-        if part > threshold:
-            count += 1
-    return count
+            part *= r**k
+        return part
 
-
-def order_check(a: int, p: int) -> int:
-    """Multiplicative order of a modulo a prime p not dividing a."""
-    if gcd(a, p) != 1:
-        raise ValueError(f"a={a} and p={p} share a factor")
-    return mult_order(a, p, p - 1)
+    parts = Counter(prime_power_sieve(limit, table, smooth_lambda_prime_power, lcm)[1:])
+    return sum(c for part, c in parts.items() if part > threshold)

@@ -1,9 +1,13 @@
-"""Smallest-prime-factor sieve and the elementary arithmetic functions.
+"""Smallest-prime-factor sieve, the three kernels that read it, and the
+elementary arithmetic functions.
 
-Everything downstream (order sieves, practicality checks, counters) factors
-integers through one shared ``SpfTable``, which makes factorization O(log n)
-per value.  The table is immutable after construction and safe to share
-between worker processes.
+Everything downstream (order sieves, practicality checks, counters, scanners)
+reads factorizations from one shared ``SpfTable`` through three kernels:
+``prime_powers`` splits one n into its prime powers, ``divisors_and_phis``
+expands one n into its divisors and their totients, and
+``prime_power_sieve`` tabulates a function fixed by its values on prime
+powers for every n up to a limit.  The table is immutable after construction
+and safe to share between worker processes.
 """
 from __future__ import annotations
 
@@ -11,14 +15,9 @@ import os
 from array import array
 from dataclasses import dataclass
 from math import isqrt, lcm
-
-import numpy as np
+from typing import Callable, Iterator
 
 from .errors import CapacityError
-
-#: Order-compatible stand-in for "smallest prime factor of 1": larger than
-#: any 64-bit prime, so threshold predicates like P^-(n) > B work unchanged.
-PMINUS_INFINITY = (1 << 64) - 1
 
 MEM_BUDGET_ENV = "CYCLO_MEM_BUDGET_BYTES"
 DEFAULT_MEM_BUDGET = 4 << 30
@@ -76,29 +75,22 @@ class SpfTable:
     limit: int
     spf: array
 
-    def smallest_factor(self, k: int) -> int:
-        if not 2 <= k <= self.limit:
-            raise ValueError(f"index {k} outside table range 2..{self.limit}")
-        return self.spf[k]
-
-    def is_prime(self, k: int) -> bool:
-        if not 2 <= k <= self.limit:
-            raise ValueError(f"index {k} outside table range 2..{self.limit}")
-        return self.spf[k] == k
-
 
 def build_spf_table(limit: int) -> SpfTable:
     """Sieve smallest prime factors for all indices up to ``limit``.
 
-    Composite marking runs over primes in decreasing order so each index is
-    last written by its least prime divisor; untouched indices are primes
-    above sqrt(limit) and get themselves.
+    The table starts as the identity, which is already right for every
+    prime and for the placeholders 0 and 1.  Then each prime p <= sqrt(limit), in decreasing order,
+    writes p over its multiples from p^2 on, so every composite is last
+    written by its least prime divisor.  The slice written for p = 2 is a
+    temporary half the table's size, so the peak, and the charge, is
+    6(limit + 1) bytes.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
     if limit >= 1 << 32:
         raise CapacityError(f"limit {limit} does not fit 32-bit table entries")
-    charge_budget(4 * (limit + 1), "smallest-prime-factor table")
+    charge_budget(6 * (limit + 1), "smallest-prime-factor table")
 
     root = isqrt(limit)
     composite = bytearray(root + 1)
@@ -108,15 +100,115 @@ def build_spf_table(limit: int) -> SpfTable:
             small_primes.append(p)
             composite[p * p :: p] = b"\x01" * len(range(p * p, root + 1, p))
 
-    spf = np.zeros(limit + 1, dtype=np.uint32)
+    spf = array("I", range(limit + 1))
     for p in reversed(small_primes):
-        spf[p::p] = p
-    untouched = np.nonzero(spf == 0)[0]
-    spf[untouched] = untouched
+        spf[p * p :: p] = array("I", [p]) * len(range(p * p, limit + 1, p))
+    return SpfTable(limit=limit, spf=spf)
 
-    values = array("I")
-    values.frombytes(spf.tobytes())
-    return SpfTable(limit=limit, spf=values)
+
+def prime_powers(n: int, spf: array) -> Iterator[tuple[int, int]]:
+    """(q, e) for each prime power q^e exactly dividing n, q increasing.
+
+    n must index ``spf``.  ``spf[1] == 1`` never equals a prime, so the
+    exponent loop stops at the cofactor 1 without a separate test.
+    """
+    while n > 1:
+        q = spf[n]
+        n //= q
+        e = 1
+        while spf[n] == q:
+            n //= q
+            e += 1
+        yield q, e
+
+
+def divisors_and_phis(n: int, spf: array) -> tuple[list[int], list[int]]:
+    """Divisors of n and their totients, index-aligned, in generation order.
+
+    The split of ``prime_powers`` is inlined here because the count scan
+    calls this once per n, and a generator per n costs measurably more.
+    """
+    divs = [1]
+    phis = [1]
+    while n > 1:
+        q = spf[n]
+        n //= q
+        e = 1
+        while spf[n] == q:
+            n //= q
+            e += 1
+        width = len(divs)
+        qq = q
+        ph = q - 1
+        while True:
+            for i in range(width):
+                divs.append(divs[i] * qq)
+                phis.append(phis[i] * ph)
+            if e == 1:
+                break
+            e -= 1
+            qq *= q
+            ph *= q
+    return divs, phis
+
+
+def prime_power_sieve(
+    limit: int,
+    table: SpfTable,
+    value: Callable[[int, int], int],
+    combine: Callable[[int, int], int],
+    unit: int = 1,
+    skip_base: int | None = None,
+) -> array:
+    """f(n) for every n <= limit as one 32-bit array, where f(1) = unit and
+    f(q^e * m) = combine(f(m), value(q, e)) for q prime not dividing m.
+
+    Primes dividing ``skip_base`` contribute nothing: f(q^e * m) = f(m).
+    Entry 0 is 0.  Every result must fit 32 bits.
+
+    Proof sketch.  Walk d = 2..limit upward and split d = q^e * m with q =
+    spf[d], the least prime of d, so q does not divide m and m < d: f(m) is
+    already in the table and the recurrence gives f(d).  By induction on
+    the number of distinct primes, f(n) folds ``combine`` over the prime
+    powers of n starting from ``unit``.  When ``combine`` is associative
+    and commutative with identity ``unit`` that fold is order-free, so f is
+    the lcm, product or sum of ``value`` over the prime powers of n:
+    ord*(a, n) and lambda*(n) by the Chinese remainder theorem (lcm), tau(n)
+    (product of e + 1), Omega(phi(n)) (sum of e - 1 + Omega(q - 1)), and the
+    B-smooth part of lambda(n), since the smooth part of an lcm is the lcm
+    of the smooth parts.  ``value`` depends on q^e alone, which is
+    recovered as d // m, so memoizing it by q^e is exact.
+    """
+    if limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
+    if limit > table.limit:
+        raise ValueError(f"limit {limit} exceeds spf table limit {table.limit}")
+    charge_budget(4 * (limit + 1), "prime-power sieve table")
+    skip = (
+        frozenset()
+        if skip_base is None
+        else frozenset(q for q, _ in factorize_trial(skip_base).factors)
+    )
+    spf = table.spf
+    values = array("I", [0]) * (limit + 1)
+    values[1] = unit
+    memo: dict[int, int] = {}
+    for d in range(2, limit + 1):
+        q = spf[d]
+        m = d // q
+        e = 1
+        while spf[m] == q:
+            m //= q
+            e += 1
+        if q in skip:
+            values[d] = values[m]
+            continue
+        qe = d // m
+        v = memo.get(qe)
+        if v is None:
+            v = memo[qe] = value(q, e)
+        values[d] = combine(values[m], v)
+    return values
 
 
 def factorize(n: int, table: SpfTable) -> Factorization:
@@ -125,18 +217,7 @@ def factorize(n: int, table: SpfTable) -> Factorization:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > table.limit:
         raise ValueError(f"n={n} exceeds table limit {table.limit}")
-    spf = table.spf
-    m = n
-    out = []
-    while m > 1:
-        q = spf[m]
-        e = 1
-        m //= q
-        while m > 1 and spf[m] == q:
-            e += 1
-            m //= q
-        out.append((q, e))
-    return Factorization(n, tuple(out))
+    return Factorization(n, tuple(prime_powers(n, table.spf)))
 
 
 def factorize_trial(n: int) -> Factorization:
@@ -196,22 +277,6 @@ def tau(f: Factorization) -> int:
     return t
 
 
-def divisors_sorted(f: Factorization, max_divisors: int = DEFAULT_DIVISOR_CAP) -> list[int]:
-    """All divisors of f.value in increasing order."""
-    count = tau(f)
-    if count > max_divisors:
-        raise CapacityError(f"{f.value} has {count} divisors, cap is {max_divisors}")
-    divs = [1]
-    for q, e in f.factors:
-        width = len(divs)
-        qq = q
-        for _ in range(e):
-            divs.extend(divs[i] * qq for i in range(width))
-            qq *= q
-    divs.sort()
-    return divs
-
-
 def divisor_phi_pairs(
     f: Factorization, max_divisors: int = DEFAULT_DIVISOR_CAP
 ) -> list[tuple[int, int]]:
@@ -231,6 +296,11 @@ def divisor_phi_pairs(
     return pairs
 
 
+def divisors_sorted(f: Factorization, max_divisors: int = DEFAULT_DIVISOR_CAP) -> list[int]:
+    """All divisors of f.value in increasing order."""
+    return sorted(d for d, _ in divisor_phi_pairs(f, max_divisors))
+
+
 def euler_phi(f: Factorization) -> int:
     """Euler totient from the factorization; phi(1) = 1."""
     phi = 1
@@ -239,7 +309,8 @@ def euler_phi(f: Factorization) -> int:
     return phi
 
 
-def _lambda_prime_power(q: int, e: int) -> int:
+def lambda_prime_power(q: int, e: int) -> int:
+    """lambda(q^e) for a prime q."""
     if q == 2:
         if e == 1:
             return 1
@@ -257,7 +328,7 @@ def carmichael_lambda(f: Factorization) -> int:
     """
     lam = 1
     for q, e in f.factors:
-        lam = lcm(lam, _lambda_prime_power(q, e))
+        lam = lcm(lam, lambda_prime_power(q, e))
         if lam >= _U64_LIMIT:
             raise OverflowError(f"lambda({f.value}) exceeds 64-bit range")
     return lam
@@ -266,31 +337,3 @@ def carmichael_lambda(f: Factorization) -> int:
 def big_omega(f: Factorization) -> int:
     """Prime factors counted with multiplicity; Omega(1) = 0."""
     return sum(e for _, e in f.factors)
-
-
-def largest_prime_factor(f: Factorization) -> int:
-    """P(n); P(1) = 1 by convention."""
-    if not f.factors:
-        return 1
-    return f.factors[-1][0]
-
-
-def smallest_prime_factor(f: Factorization) -> int:
-    """P^-(n); P^-(1) is the PMINUS_INFINITY sentinel."""
-    if not f.factors:
-        return PMINUS_INFINITY
-    return f.factors[0][0]
-
-
-def smooth_part(m: int, bound: int, table: SpfTable | None = None) -> int:
-    """Largest divisor of m whose prime factors are all <= bound."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if bound < 2:
-        raise ValueError(f"bound must be >= 2, got {bound}")
-    f = factorize(m, table) if table is not None and m <= table.limit else factorize_trial(m)
-    part = 1
-    for q, e in f.factors:
-        if q <= bound:
-            part *= q**e
-    return part

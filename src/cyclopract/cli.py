@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import re
 import sys
+from math import isfinite
 
 from .analysis import (
     AnalysisConfig,
@@ -19,7 +20,6 @@ from .analysis import (
     lambda_order_ratio_stats,
     omega_phi_distribution,
     omega_phi_threshold,
-    order_check,
     small_order_count,
     smooth_lambda_part_count,
     tau_bound_ratio,
@@ -32,15 +32,16 @@ from .counting import (
     render_csv,
     render_json,
     render_text,
+    usable_cpu_count,
 )
 from .errors import CapacityError
-from .orders import sieve_order_star
+from .orders import mult_order, sieve_order_star
 from .practicality import (
     degree_multiset,
-    dp_reachable_mask,
     is_p_practical,
     is_phi_practical,
     phi_degree_multiset,
+    verify_witness,
 )
 
 STAT_SCANNERS = (
@@ -54,19 +55,49 @@ STAT_SCANNERS = (
 )
 
 
+_DECIMAL = re.compile(r"([+-]?\d+)(?:\.(\d*))?(?:[eE]([+-]?\d+))?")
+# Largest decimal exponent a count flag may carry; keeps 10**k cheap to form.
+MAX_COUNT_EXPONENT = 4000
+
+
 def _parse_count_arg(text: str) -> int:
-    """Integer flag value, accepting 1e6-style shorthand."""
+    """Integer flag value, accepting exact 1e6-style shorthand.
+
+    ``<int>[.<digits>][e<int>]`` is read as mantissa digits times a power
+    of ten in integer arithmetic, so 1e23 is exactly 10**23; a value with a
+    nonzero fractional part is rejected, as are inf and nan.
+    """
     try:
         return int(text)
     except ValueError:
         pass
+    match = _DECIMAL.fullmatch(text.strip())
+    if match is None:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    whole, frac, exp = match.groups()
+    frac = frac or ""
+    shift = int(exp or 0) - len(frac)
+    if shift > MAX_COUNT_EXPONENT:
+        raise argparse.ArgumentTypeError(f"too large: {text!r}")
+    digits = int(whole + frac)
+    if shift >= 0:
+        return digits * 10**shift
+    # |digits| < 10**len(whole + frac), so a larger divisor leaves digits itself.
+    value, rest = divmod(digits, 10 ** min(-shift, len(whole + frac)))
+    if rest:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return value
+
+
+def _parse_finite(text: str) -> float:
+    """Real flag value; inf and nan are usage errors."""
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value != int(value):
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    return int(value)
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not isfinite(value):
+        raise argparse.ArgumentTypeError(f"not finite: {text!r}")
+    return value
 
 
 def _parse_positive(text: str) -> int:
@@ -115,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     kind.add_argument("--phi", action="store_true")
     p_count.add_argument("--limit", type=_parse_positive, required=True)
     p_count.add_argument("--checkpoints", type=_parse_checkpoints, default=None)
-    p_count.add_argument("--parts", type=_parse_positive, default=os.cpu_count() or 1)
+    p_count.add_argument("--parts", type=_parse_positive, default=usable_cpu_count())
     p_count.add_argument("--format", choices=("csv", "json", "text"), default="csv")
     p_count.add_argument("--out", default=None)
     p_count.set_defaults(func=_cmd_count)
@@ -129,15 +160,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats = sub.add_parser("stats", help="empirical scanners over n <= limit")
     p_stats.add_argument("scanner", choices=STAT_SCANNERS)
     p_stats.add_argument("--limit", type=_parse_positive, required=True)
-    p_stats.add_argument("--z", type=float, default=None)
+    p_stats.add_argument("--z", type=_parse_finite, default=None)
     p_stats.add_argument("--q", type=_parse_prime, default=None)
     p_stats.add_argument("--base", type=_parse_positive, default=None)
-    p_stats.add_argument("--bound", type=float, default=None)
-    p_stats.add_argument("--kappa", type=float, default=None)
-    p_stats.add_argument("--theta", type=float, default=None)
-    p_stats.add_argument("--B", type=float, default=None)
-    p_stats.add_argument("--Y", type=float, default=None)
-    p_stats.add_argument("--psi", type=float, default=None)
+    p_stats.add_argument("--bound", type=_parse_finite, default=None)
+    p_stats.add_argument("--kappa", type=_parse_finite, default=None)
+    p_stats.add_argument("--theta", type=_parse_finite, default=None)
+    p_stats.add_argument("--B", type=_parse_finite, default=None)
+    p_stats.add_argument("--Y", type=_parse_finite, default=None)
+    p_stats.add_argument("--psi", type=_parse_finite, default=None)
     p_stats.add_argument("--format", choices=("csv", "json", "text"), default="csv")
     p_stats.add_argument("--out", default=None)
     p_stats.set_defaults(func=_cmd_stats)
@@ -165,9 +196,7 @@ def _cmd_test(args) -> int:
         line += f" witness_gap={verdict.witness_gap}"
         if args.witness:
             ms = phi_degree_multiset(args.n) if args.phi else degree_multiset(args.n, args.prime)
-            mask = dp_reachable_mask(ms)
-            gap = verdict.witness_gap
-            sound = not (mask >> gap) & 1 and (mask >> (gap - 1)) & 1
+            sound = verify_witness(ms, verdict.witness_gap)
             line += f" witness_verified={'yes' if sound else 'NO'}"
             if not sound:
                 print(line)
@@ -240,7 +269,7 @@ def _stats_payload(args) -> tuple[dict, list[tuple[str, object, object]]]:
         _require(args, scanner, base=args.base, q=args.q)
         primes = a_q_primes(args.base, args.q, limit)
         result = {"base": args.base, "q": args.q, "primes": primes}
-        rows = [("aq_prime", p, order_check(args.base, p)) for p in primes]
+        rows = [("aq_prime", p, mult_order(args.base, p, p - 1)) for p in primes]
     elif scanner == "ratios":
         _require(args, scanner, base=args.base)
         spf = build_spf_table(max(limit, 2))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import log
 from typing import Sequence
 
-from .arith import SpfTable, build_spf_table
+from .arith import SpfTable, build_spf_table, divisors_and_phis
 from .orders import OrderTable, sieve_order_star
 
 DEFAULT_CHECKPOINT_DECADES = tuple(10**k for k in range(2, 8))
@@ -98,28 +98,7 @@ def _scan_range(
         while ci < ncp and checkpoints[ci] < n:
             counts[ci] = running
             ci += 1
-        divs = [1]
-        phis = [1]
-        m = n
-        while m > 1:
-            q = spf[m]
-            m //= q
-            e = 1
-            while m > 1 and spf[m] == q:
-                m //= q
-                e += 1
-            width = len(divs)
-            qq = q
-            ph = q - 1
-            while True:
-                for i in range(width):
-                    divs.append(divs[i] * qq)
-                    phis.append(phis[i] * ph)
-                if e == 1:
-                    break
-                e -= 1
-                qq *= q
-                ph *= q
+        divs, phis = divisors_and_phis(n, spf)
         if phi_mode:
             phis.sort()
             reach = 0
@@ -168,6 +147,14 @@ def _partition_bounds(limit: int, parts: int) -> list[tuple[int, int]]:
     return bounds
 
 
+def usable_cpu_count() -> int:
+    """CPUs this process may run on: its affinity set where the platform has
+    one (it honours taskset and cpuset limits), else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_partitioned(
     limit: int,
     checkpoints: list[int],
@@ -176,10 +163,10 @@ def _run_partitioned(
     parts: int,
 ) -> list[int]:
     bounds = _partition_bounds(limit, parts)
-    if len(bounds) <= 1:
-        partials = [_scan_range(1, limit, checkpoints, spf, order_values)]
-    else:
+    if len(bounds) > 1 and "fork" in multiprocessing.get_all_start_methods():
         partials = _run_workers(bounds, checkpoints, spf, order_values)
+    else:
+        partials = [_scan_range(lo, hi, checkpoints, spf, order_values) for lo, hi in bounds]
     totals = [0] * len(checkpoints)
     for partial in partials:
         for i, c in enumerate(partial):
@@ -188,19 +175,10 @@ def _run_partitioned(
 
 
 def _run_workers(bounds, checkpoints, spf, order_values) -> list[list[int]]:
+    _WORKER_STATE.update(checkpoints=checkpoints, spf=spf, order_values=order_values)
     try:
+        workers = min(len(bounds), usable_cpu_count())
         ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        ctx = None
-    if ctx is None:
-        return [
-            _scan_range(lo, hi, checkpoints, spf, order_values) for lo, hi in bounds
-        ]
-    _WORKER_STATE["checkpoints"] = checkpoints
-    _WORKER_STATE["spf"] = spf
-    _WORKER_STATE["order_values"] = order_values
-    try:
-        workers = min(len(bounds), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
             return list(pool.map(_scan_worker, bounds))
     finally:
@@ -210,25 +188,6 @@ def _run_workers(bounds, checkpoints, spf, order_values) -> list[list[int]]:
 def _build_rows(checkpoints: list[int], totals: list[int]) -> tuple[CountRow, ...]:
     return tuple(
         CountRow(X=x, count=c, ratio=ratio_row(x, c)) for x, c in zip(checkpoints, totals)
-    )
-
-
-def count_p_practical(
-    p: int,
-    limit: int,
-    checkpoints: Sequence[int] | None = None,
-    *,
-    spf_table: SpfTable | None = None,
-    order_table: OrderTable | None = None,
-) -> CountReport:
-    """Exact F_p counts at each checkpoint, single pass, sequential."""
-    return count_p_practical_partitioned(
-        p,
-        limit,
-        checkpoints,
-        parts=1,
-        spf_table=spf_table,
-        order_table=order_table,
     )
 
 

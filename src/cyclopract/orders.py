@@ -2,8 +2,7 @@
 
 ``order_star(a, n)`` is the multiplicative order of a modulo the largest
 divisor of n coprime to a.  The sieve computes it for every n up to a limit
-by splitting off the smallest prime power of n and merging memoized
-prime-power orders with lcm.
+through ``prime_power_sieve``, as the lcm of memoized prime-power orders.
 """
 from __future__ import annotations
 
@@ -11,7 +10,14 @@ from array import array
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .arith import SpfTable, carmichael_lambda, charge_budget, factorize_trial, is_prime
+from .arith import (
+    SpfTable,
+    carmichael_lambda,
+    factorize_trial,
+    is_prime,
+    prime_power_sieve,
+    prime_powers,
+)
 
 
 @dataclass(frozen=True)
@@ -83,7 +89,12 @@ def prime_power_order(a: int, q: int, k: int) -> int:
         raise ValueError(f"q={q} is not prime")
     if a % q == 0:
         raise ValueError(f"q={q} divides a={a}")
-    t = mult_order(a, q, q - 1)
+    return _lift_order(a, q, k, mult_order(a, q, q - 1))
+
+
+def _lift_order(a: int, q: int, k: int, t: int) -> int:
+    # t is the order of a mod q; the order mod q^(j+1) is the order mod q^j,
+    # times q exactly when that order no longer satisfies the congruence.
     mod = q
     for _ in range(k - 1):
         mod *= q
@@ -102,68 +113,23 @@ def mult_order_star(a: int, n: int) -> int:
 
 def _prime_order_sieved(a: int, q: int, spf: array) -> int:
     # Order of a mod prime q, with q-1 factored through the shared sieve.
-    lam = q - 1
-    if lam == 1:
-        return 1
-    primes = []
-    m = lam
-    while m > 1:
-        r = spf[m]
-        m //= r
-        while m > 1 and spf[m] == r:
-            m //= r
-        primes.append(r)
-    return _shrink_exponent(a, q, lam, primes)
+    return _shrink_exponent(a, q, q - 1, (r for r, _ in prime_powers(q - 1, spf)))
 
 
 def sieve_order_star(a: int, limit: int, table: SpfTable) -> OrderTable:
     """order_star(a, d) for every d <= limit, as one 32-bit array.
 
-    Walks d in increasing order: with q^e the smallest-prime power of d and
-    m the cofactor, values[d] = lcm(values[m], ord(a mod q^e)), or values[m]
-    alone when q divides a.  Prime-power orders are memoized since each is
-    reused across many d.
+    ``prime_power_sieve`` with lcm: order_star(a, d) is the lcm of
+    ord(a mod q^e) over the prime powers q^e of d with q not dividing a, by
+    the Chinese remainder theorem.  Each prime-power order is computed once,
+    from the order mod q (q - 1 factored through the sieve) lifted to q^e.
     """
     if a < 2:
         raise ValueError(f"a must be >= 2, got {a}")
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
-    if limit > table.limit:
-        raise ValueError(f"limit {limit} exceeds spf table limit {table.limit}")
-    charge_budget(4 * (limit + 1), "order table")
-
     spf = table.spf
-    values = array("I", bytes(4 * (limit + 1)))
-    values[1] = 1
-    a_primes = frozenset(q for q, _ in factorize_trial(a).factors)
-    first_order: dict[int, int] = {}
-    lifted: dict[tuple[int, int], int] = {}
 
-    for d in range(2, limit + 1):
-        q = spf[d]
-        m = d // q
-        e = 1
-        while m > 1 and spf[m] == q:
-            m //= q
-            e += 1
-        if q in a_primes:
-            values[d] = values[m]
-            continue
-        t = first_order.get(q)
-        if t is None:
-            t = _prime_order_sieved(a, q, spf)
-            first_order[q] = t
-        if e > 1:
-            key = (q, e)
-            cached = lifted.get(key)
-            if cached is None:
-                mod = q
-                for _ in range(e - 1):
-                    mod *= q
-                    if pow(a, t, mod) != 1:
-                        t *= q
-                lifted[key] = t
-            else:
-                t = cached
-        values[d] = lcm(values[m], t)
+    def order_mod_prime_power(q: int, e: int) -> int:
+        return _lift_order(a, q, e, _prime_order_sieved(a, q, spf))
+
+    values = prime_power_sieve(limit, table, order_mod_prime_power, lcm, skip_base=a)
     return OrderTable(base=a, limit=limit, values=values)

@@ -36,9 +36,6 @@ class DegreeMultiset:
             agg[deg] = agg.get(deg, 0) + cnt
         return agg
 
-    def weighted_total(self) -> int:
-        return sum(deg * cnt for deg, cnt in self.entries)
-
 
 @dataclass(frozen=True)
 class PracticalVerdict:
@@ -125,6 +122,14 @@ def dp_reachable_mask(ms: DegreeMultiset, cap: int = DEFAULT_ORACLE_CAP) -> int:
             cnt -= take
             chunk <<= 1
     return mask
+
+
+def verify_witness(ms: DegreeMultiset, gap: int) -> bool:
+    """Check a reported witness gap with the DP mask, independently of the
+    greedy: every sum below gap is reachable and gap itself is not."""
+    below = (1 << gap) - 1
+    mask = dp_reachable_mask(ms)
+    return mask & below == below and not (mask >> gap) & 1
 
 
 def dp_coverage_oracle(ms: DegreeMultiset, cap: int = DEFAULT_ORACLE_CAP) -> PracticalVerdict:

@@ -16,7 +16,6 @@ from cyclopract import (
     coverage_check,
     degree_multiset,
     dp_coverage_oracle,
-    dp_reachable_mask,
     coprime_part,
     divisors_sorted,
     factorize,
@@ -26,6 +25,7 @@ from cyclopract import (
     render_csv,
     render_json,
     sieve_order_star,
+    verify_witness,
 )
 from cyclopract.cli import main as cli_main
 
@@ -189,9 +189,7 @@ def test_criterion_7_witness_soundness(order_tables):
             if verdict.practical:
                 continue
             checked += 1
-            gap = verdict.witness_gap
-            mask = dp_reachable_mask(ms)
-            if (mask >> gap) & 1 or not (mask >> (gap - 1)) & 1:
+            if not verify_witness(ms, verdict.witness_gap):
                 violations += 1
         assert violations == 0
 

@@ -1,13 +1,18 @@
+import collections
+import functools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclopract import (
     AnalysisConfig,
     a_q_primes,
     big_omega,
     carmichael_lambda,
+    coprime_part,
     count_z_dense,
     factorize_trial,
     euler_phi,
@@ -15,17 +20,41 @@ from cyclopract import (
     is_z_dense,
     lambda_order_ratio_stats,
     lambda_star_table,
-    lp2_range_primes,
     mult_order,
+    mult_order_star,
     omega_phi_distribution,
     omega_phi_excess,
     omega_phi_threshold,
+    sieve_order_star,
     small_order_count,
     smooth_lambda_part_count,
-    smooth_part,
     tau,
     tau_threshold_count,
 )
+
+
+def smooth_part(m, bound):
+    """Largest divisor of m whose prime factors are all <= bound, by trial division."""
+    part = 1
+    for q, e in factorize_trial(m).factors:
+        if q <= bound:
+            part *= q**e
+    return part
+
+
+def test_smooth_part_examples():
+    assert smooth_part(12, 3) == 12
+    assert smooth_part(12, 2) == 4
+    assert smooth_part(1, 2) == 1
+
+
+def test_smooth_part_complement():
+    for m in range(1, 3000):
+        for bound in (2, 3, 10):
+            u = smooth_part(m, bound)
+            rough = m // u
+            assert u * rough == m
+            assert all(q > bound for q, _ in factorize_trial(rough).factors)
 
 
 def brute_force_z_dense(n, z):
@@ -112,22 +141,6 @@ def test_a_q_validates_arguments():
         a_q_primes(2, 9, 100)  # q must be prime
     with pytest.raises(ValueError):
         a_q_primes(2, 5, 3)  # bound below q
-
-
-def test_lp2_window_small():
-    window = lp2_range_primes(3)
-    assert window.primes == (7, 13)
-    assert window.lower == pytest.approx(9 / (4 * math.log(3) ** 2))
-    assert window.upper == pytest.approx(9 * math.log(3) ** 4)
-
-
-def test_lp2_window_congruence():
-    window = lp2_range_primes(11)
-    assert window.primes
-    for p in window.primes:
-        assert p % 11 == 1
-        assert is_prime(p)
-        assert window.lower < p <= window.upper
 
 
 def test_ratio_stats_small(spf100k, order_tables):
@@ -250,3 +263,58 @@ def test_analysis_config_validation():
         AnalysisConfig.from_theta(0.1, 100, Z=1.5)
     with pytest.raises(ValueError):
         AnalysisConfig.from_theta(0.1, 100, psi=0.1)  # below log log X
+
+
+# Property tests: every prime_power_sieve table against a per-n reference
+# built by trial division, for limits up to SIEVE_PROPERTY_LIMIT.
+SIEVE_PROPERTY_LIMIT = 3000
+limits = st.integers(1, SIEVE_PROPERTY_LIMIT)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_row(n):
+    """(tau(n), Omega(phi(n)), lambda(n)) by trial division."""
+    f = factorize_trial(n)
+    return tau(f), big_omega(factorize_trial(euler_phi(f))), carmichael_lambda(f)
+
+
+@settings(max_examples=20, deadline=None)
+@given(limits, st.integers(2, 10))
+def test_order_sieve_property(spf10k, limit, base):
+    values = sieve_order_star(base, limit, spf10k).values
+    assert list(values[1:]) == [mult_order_star(base, n) for n in range(1, limit + 1)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(limits, st.none() | st.integers(2, 10))
+def test_lambda_star_sieve_property(spf10k, limit, skip_base):
+    values = lambda_star_table(limit, spf10k, skip_base=skip_base)
+    expected = [
+        carmichael_lambda(factorize_trial(n if skip_base is None else coprime_part(n, skip_base)))
+        for n in range(1, limit + 1)
+    ]
+    assert list(values[1:]) == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(limits, st.floats(1, 40))
+def test_tau_sieve_property(spf10k, limit, kappa):
+    expected = sum(1 for n in range(1, limit + 1) if reference_row(n)[0] >= kappa)
+    assert tau_threshold_count(limit, kappa, spf10k) == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(limits)
+def test_omega_phi_sieve_property(spf10k, limit):
+    expected = collections.Counter(reference_row(n)[1] for n in range(1, limit + 1))
+    assert omega_phi_distribution(limit, spf10k) == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(limits, st.integers(2, 50), st.floats(0, 3000))
+def test_smooth_lambda_sieve_property(spf10k, limit, bound, threshold):
+    expected = sum(
+        1 for n in range(1, limit + 1) if smooth_part(reference_row(n)[2], bound) > threshold
+    )
+    assert smooth_lambda_part_count(limit, bound, threshold, spf10k) == expected
+

@@ -2,9 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclopract import (
-    PMINUS_INFINITY,
     CapacityError,
     big_omega,
     build_spf_table,
@@ -15,12 +16,9 @@ from cyclopract import (
     factorize,
     factorize_trial,
     is_prime,
-    largest_prime_factor,
-    smallest_prime_factor,
-    smooth_part,
     tau,
 )
-from cyclopract.arith import MEM_BUDGET_ENV
+from cyclopract.arith import MEM_BUDGET_ENV, divisors_and_phis, prime_powers
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +45,26 @@ def test_spf_spot_check_against_trial_division(spf10m):
         p = spf10m.spf[k]
         assert k % p == 0
         assert p == factorize_trial(k).factors[0][0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 3000))
+def test_spf_table_agrees_with_trial_division(limit):
+    spf = build_spf_table(limit).spf
+    assert list(spf[:2]) == [0, 1]
+    for k in range(2, limit + 1):
+        assert spf[k] == factorize_trial(k).factors[0][0], k
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**4))
+def test_sieve_kernels_agree_with_trial_division(spf10k, n):
+    f = factorize_trial(n)
+    assert tuple(prime_powers(n, spf10k.spf)) == f.factors
+    divs, phis = divisors_and_phis(n, spf10k.spf)
+    assert sorted(divs) == [d for d in range(1, n + 1) if n % d == 0]
+    assert phis == [euler_phi(factorize_trial(d)) for d in divs]
+    assert sorted(zip(divs, phis)) == sorted(divisor_phi_pairs(f))
 
 
 def test_factorize_examples(spf10m):
@@ -148,38 +166,13 @@ def test_basic_functions_at_one():
     f = factorize_trial(1)
     assert tau(f) == 1
     assert big_omega(f) == 0
-    assert largest_prime_factor(f) == 1
-    assert smallest_prime_factor(f) == PMINUS_INFINITY
 
 
 def test_basic_functions_examples():
     f12 = factorize_trial(12)
     assert (tau(f12), big_omega(f12)) == (6, 3)
-    assert (largest_prime_factor(f12), smallest_prime_factor(f12)) == (3, 2)
     f1024 = factorize_trial(2**10)
     assert (tau(f1024), big_omega(f1024)) == (11, 10)
-    assert largest_prime_factor(f1024) == smallest_prime_factor(f1024) == 2
-
-
-def test_pminus_sentinel_orders_correctly():
-    # the sentinel must exceed every real smallest factor in thresholds
-    assert PMINUS_INFINITY > 10**7
-    assert smallest_prime_factor(factorize_trial(1)) > 2
-
-
-def test_smooth_part_examples():
-    assert smooth_part(12, 3) == 12
-    assert smooth_part(12, 2) == 4
-    assert smooth_part(1, 2) == 1
-
-
-def test_smooth_part_complement(spf10k):
-    for m in range(1, 3000):
-        for bound in (2, 3, 10):
-            u = smooth_part(m, bound, spf10k)
-            rough = m // u
-            assert u * rough == m
-            assert smallest_prime_factor(factorize_trial(rough)) > bound
 
 
 def test_carmichael_overflow_guard():

@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cyclopract.cli import main
+from cyclopract.cli import _parse_count_arg, main
 
 
 def run_cli(capsys, *argv):
@@ -252,3 +254,53 @@ def test_checkpoint_above_limit_exits_1(capsys):
     assert code == 1
     assert out == ""
     assert "exceeds limit" in err
+
+
+def test_count_arg_parse_is_exact(capsys):
+    code, out, _ = run_cli(capsys, "test", "1e23", "--phi")
+    assert code == 0
+    assert out.startswith("n=100000000000000000000000 kind=phi ")
+    code, out, _ = run_cli(capsys, "test", "1.50e1", "--phi")
+    assert code == 0
+    assert out.startswith("n=15 kind=phi ")
+
+
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1.5e0", "1e-5", "1e99999"])
+def test_count_arg_rejects_non_integral(capsys, text):
+    with pytest.raises(SystemExit) as exc:
+        main(["test", text, "--phi"])
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_huge_count_limit_is_a_capacity_error(capsys):
+    code, out, err = run_cli(capsys, "count", "--phi", "--limit", "1e400")
+    assert code == 1
+    assert out == ""
+    assert "does not fit 32-bit table entries" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stats", "tau", "--limit", "10", "--kappa", "nan"],
+        ["stats", "zdense", "--limit", "10", "--z", "inf"],
+        ["stats", "smoothlambda", "--limit", "10", "--B", "inf", "--Y", "4"],
+    ],
+)
+def test_non_finite_real_flags_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "not finite" in capsys.readouterr().err
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**30), st.integers(0, 60), st.integers(0, 8))
+def test_count_arg_shorthand_property(mantissa, exponent, frac_digits):
+    # mantissa * 10**exponent written with frac_digits digits after the point
+    digits = str(mantissa).rjust(frac_digits + 1, "0")
+    head, tail = digits[: len(digits) - frac_digits], digits[len(digits) - frac_digits :]
+    text = f"{head}.{tail}e{exponent + frac_digits}" if frac_digits else f"{head}e{exponent}"
+    assert _parse_count_arg(text) == mantissa * 10**exponent
+

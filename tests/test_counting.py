@@ -3,7 +3,6 @@ import random
 import pytest
 
 from cyclopract import (
-    count_p_practical,
     count_p_practical_partitioned,
     count_phi_practical,
     is_p_practical,
@@ -49,14 +48,14 @@ def test_phi_counts_bounded_by_p_counts(spf10k, order_tables):
     cps = [100, 1000, 10**4]
     phi_counts = count_phi_practical(10**4, cps, spf_table=spf10k).counts()
     for p in (2, 3, 5):
-        p_counts = count_p_practical(
+        p_counts = count_p_practical_partitioned(
             p, 10**4, cps, spf_table=spf10k, order_table=order_tables(p, 10**4)
         ).counts()
         assert all(fc <= pc for fc, pc in zip(phi_counts, p_counts))
 
 
 def test_p_count_small_checkpoints(spf10k, order_tables):
-    report = count_p_practical(
+    report = count_p_practical_partitioned(
         2, 10**4, [100, 1000, 10**4], spf_table=spf10k, order_table=order_tables(2, 10**4)
     )
     assert report.counts() == [34, 243, 1790]
@@ -101,7 +100,7 @@ def test_default_checkpoints_are_decades(spf10k):
 
 
 def test_renderers_are_deterministic(spf10k, order_tables):
-    report = count_p_practical(
+    report = count_p_practical_partitioned(
         2, 1000, [100, 1000], spf_table=spf10k, order_table=order_tables(2, 1000)
     )
     csv_text = render_csv(report)
@@ -114,7 +113,7 @@ def test_renderers_are_deterministic(spf10k, order_tables):
 
 
 def test_report_metadata(spf10k, order_tables):
-    rep_p = count_p_practical(
+    rep_p = count_p_practical_partitioned(
         3, 1000, [1000], spf_table=spf10k, order_table=order_tables(3, 1000)
     )
     assert (rep_p.kind, rep_p.base, rep_p.label()) == ("p", 3, "3")

@@ -1,17 +1,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclopract import (
     CapacityError,
+    DegreeMultiset,
     coverage_check,
     degree_multiset,
     dp_coverage_oracle,
-    dp_reachable_mask,
     is_p_practical,
     is_phi_practical,
     phi_degree_multiset,
     poly_factor_degrees_oracle,
+    verify_witness,
 )
 
 
@@ -24,7 +27,7 @@ def test_degree_multiset_tiny():
 
 def test_degree_multiset_63():
     ms = degree_multiset(63, 2)
-    assert ms.weighted_total() == 63
+    assert sum(deg * cnt for deg, cnt in ms.entries) == 63
     assert ms.degree_counts() == poly_factor_degrees_oracle(63, 2)
 
 
@@ -32,7 +35,7 @@ def test_degree_multiset_invariants(order_tables):
     table = order_tables(2, 500)
     for n in range(1, 501):
         ms = degree_multiset(n, 2, table)
-        assert ms.weighted_total() == n
+        assert sum(deg * cnt for deg, cnt in ms.entries) == n
         assert all(cnt >= 1 for _, cnt in ms.entries)
         assert (1, 1) in ms.entries  # the divisor d = 1
         assert len(ms.entries) >= 1
@@ -131,9 +134,7 @@ def test_witness_is_sound_on_samples(order_tables):
         checked += 1
         gap = verdict.witness_gap
         assert 2 <= gap <= n
-        mask = dp_reachable_mask(ms)
-        assert not (mask >> gap) & 1
-        assert (mask >> (gap - 1)) & 1
+        assert verify_witness(ms, gap)
 
 
 def test_poly_oracle_tiny():
@@ -164,3 +165,16 @@ def test_p_part_of_n_is_absorbed(order_tables):
     for n in (3, 9, 27, 81, 243, 6, 18, 54, 162, 45, 135):
         ms = degree_multiset(n, 3, table)
         assert ms.degree_counts() == poly_factor_degrees_oracle(n, 3), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 40), st.integers(1, 6)), min_size=1, max_size=12))
+def test_greedy_agrees_with_dp_on_arbitrary_multisets(entries):
+    # n is the total weight, as for every multiset that comes from some x^n - 1
+    ms = DegreeMultiset(n=sum(deg * cnt for deg, cnt in entries), entries=tuple(entries))
+    verdict = coverage_check(ms)
+    assert verdict == dp_coverage_oracle(ms)
+    if not verdict.practical:
+        assert verify_witness(ms, verdict.witness_gap)
+        assert not verify_witness(ms, verdict.witness_gap + 1)
+
