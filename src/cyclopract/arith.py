@@ -14,7 +14,9 @@ from __future__ import annotations
 import os
 from array import array
 from dataclasses import dataclass
-from math import isqrt, lcm
+from collections import Counter
+from itertools import count
+from math import gcd, isqrt, lcm
 from typing import Callable, Iterator
 
 from .errors import CapacityError
@@ -220,28 +222,105 @@ def factorize(n: int, table: SpfTable) -> Factorization:
     return Factorization(n, tuple(prime_powers(n, table.spf)))
 
 
+# Trial division runs through d <= TRIAL_DIVISION_LIMIT; a cofactor it leaves
+# unsettled is split by Pollard-Brent rho and certified by ``is_prime``.
+TRIAL_DIVISION_LIMIT = 10**6
+_TRIAL_DIVISION_SQUARE = TRIAL_DIVISION_LIMIT**2
+# psi_12: the least strong pseudoprime to every prime base 2..37, so
+# ``is_prime`` is proven exactly below it.
+MILLER_RABIN_PROVEN_BELOW = 318665857834031151167461
+
+
 def factorize_trial(n: int) -> Factorization:
-    """Factor n by trial division; independent of any sieve table."""
+    """Factor n without a sieve table: trial division by d <= 10^6, then
+    Miller-Rabin and Pollard-Brent rho on a cofactor still unsettled.
+
+    Below 10^12 the trial division alone settles n.  A cofactor left over
+    has only primes above 10^6; it is split by rho down to pieces that
+    ``is_prime`` certifies, which it does exactly below psi_12.  A cofactor
+    at or above psi_12 cannot be certified and raises CapacityError.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     m = n
     out = []
     d = 2
-    while d * d <= m:
+    # The loop runs while d * d <= m, as plain trial division does, but
+    # stops past d = 10^6.
+    bound = m if m < _TRIAL_DIVISION_SQUARE else _TRIAL_DIVISION_SQUARE
+    while d * d <= bound:
         if m % d == 0:
             e = 0
             while m % d == 0:
                 m //= d
                 e += 1
             out.append((d, e))
+            if m < bound:
+                bound = m
         d += 1 if d == 2 else 2
     if m > 1:
+        if d * d <= m:
+            # No prime <= 10^6 divides m, and m > 10^12 may be composite.
+            return Factorization(n, tuple(out + _factor_rough(m, n)))
         out.append((m, 1))
     return Factorization(n, tuple(out))
 
 
+def _factor_rough(m: int, n: int) -> list[tuple[int, int]]:
+    # m is the cofactor of n with no prime factor up to 10^6.
+    if m >= MILLER_RABIN_PROVEN_BELOW:
+        raise CapacityError(
+            f"cofactor {m} of {n} has no prime factor up to {TRIAL_DIVISION_LIMIT} "
+            f"and is too large to certify (at least {MILLER_RABIN_PROVEN_BELOW})"
+        )
+    primes = Counter()
+    stack = [m]
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            primes[m] += 1
+        else:
+            f = _pollard_brent(m)
+            stack += (f, m // f)
+    return sorted(primes.items())
+
+
+def _pollard_brent(n: int) -> int:
+    """A nontrivial factor of an odd composite n (Brent's variant of rho,
+    with batched gcds); deterministic, retrying with the next constant c
+    when a cycle closes without a split."""
+    for c in count(1):
+        y = 2
+        r = q = g = 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond 64-bit inputs used here."""
+    """Miller-Rabin with the prime bases 2..37.
+
+    Exact for n < psi_12 = 318665857834031151167461, the least strong
+    pseudoprime to all twelve bases; above that a True is only a strong
+    probable prime.
+    """
     if n < 2:
         return False
     small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -1,9 +1,14 @@
 """Checkpointed counting sieves for phi-practical and p-practical integers.
 
-One pass streams n = 1..N: factor n through the shared smallest-prime-factor
-table, generate (divisor, phi) pairs, look the divisor degrees up in the
-order table, and run the sorted-degree greedy.  Counts are snapshotted as the
-stream crosses each checkpoint, so a single pass yields the whole report.
+One pass streams n = 1..N and decides each n from its prime powers, read
+off the shared smallest-prime-factor table.  A prime chain rejects most n
+first: sorted by a key (ord*(p, q) for F_p, q - 1 over Z), a prime whose
+key exceeds one plus the product of the prime powers before it leaves a
+gap no degree can fill (``p_chain``, ``phi_chain``).  The survivors run the
+sorted-degree greedy: over F_p on the degree -> weight map merged from the
+prime powers (``p_degree_weights``), over Z on the sorted totients of the
+divisors.  Counts are snapshotted as the stream crosses each checkpoint,
+so a single pass yields the whole report.
 
 The partitioned variant splits [1, N] into contiguous ranges whose per-range,
 per-checkpoint subcounts merge by addition; output is identical to the
@@ -17,7 +22,8 @@ import os
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from math import log
+from itertools import islice, repeat
+from math import lcm, log
 from typing import Sequence
 
 from .arith import SpfTable, build_spf_table, divisors_and_phis
@@ -75,6 +81,118 @@ def _resolve_checkpoints(limit: int, checkpoints: Sequence[int] | None) -> list[
     return cps
 
 
+def p_chain(n: int, spf: array, order_values: array) -> list[tuple[int, int, int]] | None:
+    """Prime-chain prefilter for p-practicality: the prime powers of n as
+    (k(q), q, q^e) sorted by the key k(q) = ord*(p, q), or None when the
+    chain proves n is not p-practical.
+
+    With M_j the product of the first j prime powers in key order, n is
+    rejected when some k_{j+1} > M_j + 1.  Proof sketch: the divisors built
+    only from the first j primes are the divisors of M_j, whose phi-weights
+    sum to M_j.  Every other divisor d has a prime q_i with i > j, so
+    ord*(p, d) is the lcm of prime-power orders, one of which is a multiple
+    of k_i >= k_{j+1} (the order mod q^a is the order mod q times a power
+    of q).  So every degree below k_{j+1} comes from a divisor of M_j, the
+    sorted greedy reaches at most M_j before its first degree >= k_{j+1},
+    and that degree exceeds reach + 1: the greedy stalls.  The key of q = p
+    is 1 (the table holds ord* = 1 there), so it sorts first and never
+    rejects.
+    """
+    pps = []
+    while n > 1:
+        q = spf[n]
+        n //= q
+        qe = q
+        while spf[n] == q:
+            n //= q
+            qe *= q
+        pps.append((order_values[q], q, qe))
+    pps.sort()
+    m = 1
+    for k, _, qe in pps:
+        if k > m + 1:
+            return None
+        m *= qe
+    return pps
+
+
+def p_degree_weights(pps: list[tuple[int, int, int]], order_values: array) -> dict[int, int]:
+    """degree -> total phi-weight of the divisors of n with that ord*(p, d),
+    built from the prime powers (k, q, q^e) of n alone.
+
+    Start from {1: 1} (the divisor 1) and merge each q^e in: a divisor
+    d * q^a of the part built so far has degree lcm(ord*(p, d), ord*(p, q^a))
+    by the Chinese remainder theorem and weight phi(d) * phi(q^a).  This is
+    the aggregation ``coverage_check`` makes (weight = degree * count), and
+    only prime-power entries of the order table are read.
+    """
+    weights = {1: 1}
+    for _, q, qe in pps:
+        items = list(weights.items())
+        qa = q
+        ph = q - 1
+        while True:
+            k = order_values[qa]
+            for deg, w in items:
+                deg = lcm(deg, k)
+                weights[deg] = weights.get(deg, 0) + w * ph
+            if qa == qe:
+                break
+            qa *= q
+            ph *= q
+    return weights
+
+
+def _p_practical(n: int, spf: array, order_values: array) -> bool:
+    pps = p_chain(n, spf, order_values)
+    if pps is None:
+        return False
+    weights = p_degree_weights(pps, order_values)
+    reach = 0
+    for deg in sorted(weights):
+        if deg > reach + 1:
+            return False
+        reach += weights[deg]
+    return True
+
+
+def phi_chain(n: int, spf: array) -> bool:
+    """Prime-chain prefilter for phi-practicality: False proves n is not
+    phi-practical.
+
+    The key of a prime q is q - 1, which increases with q, so the primes
+    come in key order straight from the SPF walk.  With M_j the product of
+    the prime powers below q_{j+1}, n is rejected when q_{j+1} - 1 > M_j + 1:
+    the divisors of M_j carry phi-weight M_j, and every other divisor d has
+    phi(d) a multiple of some q_i - 1 >= q_{j+1} - 1, so the greedy stalls
+    as in ``p_chain``.
+    """
+    m = 1
+    while n > 1:
+        q = spf[n]
+        if q > m + 2:
+            return False
+        n //= q
+        m *= q
+        while spf[n] == q:
+            n //= q
+            m *= q
+    return True
+
+
+def _phi_practical(n: int, spf: array) -> bool:
+    if not phi_chain(n, spf):
+        return False
+    phis = divisors_and_phis(n, spf)[1]
+    phis.sort()
+    reach = 0
+    for ph in phis:
+        if ph > reach + 1:
+            return False
+        reach += ph
+    return True
+
+
 def _scan_range(
     lo: int,
     hi: int,
@@ -87,39 +205,19 @@ def _scan_range(
     counts[i] is the number of practical n with lo <= n <= min(hi, X_i).
     order_values None selects the phi multiset (no order lookups).
     """
-    counts = [0] * len(checkpoints)
-    ncp = len(checkpoints)
-    ci = 0
-    while ci < ncp and checkpoints[ci] < lo:
-        ci += 1
+    if order_values is None:
+        practical = map(_phi_practical, range(lo, hi + 1), repeat(spf))
+    else:
+        practical = map(_p_practical, range(lo, hi + 1), repeat(spf), repeat(order_values))
+    counts = []
     running = 0
-    phi_mode = order_values is None
-    for n in range(lo, hi + 1):
-        while ci < ncp and checkpoints[ci] < n:
-            counts[ci] = running
-            ci += 1
-        divs, phis = divisors_and_phis(n, spf)
-        if phi_mode:
-            phis.sort()
-            reach = 0
-            for ph in phis:
-                if ph > reach + 1:
-                    break
-                reach += ph
-            else:
-                running += 1
-        else:
-            pairs = sorted(zip(map(order_values.__getitem__, divs), phis))
-            reach = 0
-            for deg, ph in pairs:
-                if deg > reach + 1:
-                    break
-                reach += ph
-            else:
-                running += 1
-    while ci < ncp:
-        counts[ci] = running
-        ci += 1
+    start = lo
+    for x in checkpoints:
+        stop = min(x, hi)
+        if stop >= start:
+            running += sum(islice(practical, stop - start + 1))
+            start = stop + 1
+        counts.append(running)
     return counts
 
 

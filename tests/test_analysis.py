@@ -31,6 +31,7 @@ from cyclopract import (
     tau,
     tau_threshold_count,
 )
+from cyclopract.analysis import z_dense_chain
 
 
 def smooth_part(m, bound):
@@ -102,6 +103,13 @@ def test_count_z_dense_first_decade():
 def test_count_z_dense_matches_brute_force_at_1e5(spf100k):
     expected = sum(1 for n in range(1, 10**5 + 1) if brute_force_z_dense(n, 2))
     assert count_z_dense(10**5, 2, spf100k) == expected
+
+
+@pytest.mark.parametrize("z", [2, Fraction(5, 2), 3, 10])
+def test_z_dense_chain_matches_divisor_scan(spf100k, z):
+    num, den = z.as_integer_ratio()
+    for n in range(1, 10**5 + 1):
+        assert z_dense_chain(n, spf100k.spf, num, den) == is_z_dense(n, z, spf100k), n
 
 
 def test_count_z_dense_monotone(spf10k):

@@ -18,7 +18,13 @@ from cyclopract import (
     is_prime,
     tau,
 )
-from cyclopract.arith import MEM_BUDGET_ENV, divisors_and_phis, prime_powers
+from cyclopract.arith import (
+    MEM_BUDGET_ENV,
+    MILLER_RABIN_PROVEN_BELOW,
+    TRIAL_DIVISION_LIMIT,
+    divisors_and_phis,
+    prime_powers,
+)
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +197,40 @@ def test_is_prime_against_trial_division():
     for n in range(2000):
         naive = n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
         assert is_prime(n) == naive
+
+
+def next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(10**6, 10**12).map(next_prime), min_size=1, max_size=3))
+def test_factorize_trial_splits_products_of_large_primes(primes):
+    n = math.prod(primes)
+    if n >= MILLER_RABIN_PROVEN_BELOW:
+        # Trial division leaves all of n, which is too large to certify.
+        with pytest.raises(CapacityError):
+            factorize_trial(n)
+        return
+    f = factorize_trial(n)
+    assert [q for q, e in f.factors for _ in range(e)] == sorted(primes)
+    assert math.prod(q**e for q, e in f.factors) == n
+
+
+def test_factorize_trial_beyond_trial_division():
+    # A prime near 10^17 and a square of a prime just above the trial limit.
+    assert factorize_trial(100000000000000003).factors == ((100000000000000003, 1),)
+    q = next_prime(TRIAL_DIVISION_LIMIT)
+    assert factorize_trial(12 * q**2).factors == ((2, 2), (3, 1), (q, 2))
+    # psi_12 passes Miller-Rabin on bases 2..37 but is 399165290221 * 798330580441.
+    assert is_prime(MILLER_RABIN_PROVEN_BELOW)
+    assert 399165290221 * 798330580441 == MILLER_RABIN_PROVEN_BELOW
+    with pytest.raises(CapacityError):
+        factorize_trial(MILLER_RABIN_PROVEN_BELOW)
+    # Above psi_12 only a cofactor left by trial division is refused.
+    assert factorize_trial(2**80 * 999983).factors == ((2, 80), (999983, 1))
 
 
 def test_memory_budget_enforced(monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -263,6 +264,24 @@ def test_count_arg_parse_is_exact(capsys):
     code, out, _ = run_cli(capsys, "test", "1.50e1", "--phi")
     assert code == 0
     assert out.startswith("n=15 kind=phi ")
+
+
+@pytest.mark.parametrize("kind", [["--phi"], ["--prime", "2"]])
+def test_large_prime_n_decides_quickly(capsys, kind):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "test", "100000000000000003", *kind)
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert out.startswith("n=100000000000000003 kind=")
+    assert " practical=no " in out
+
+
+def test_uncertifiable_cofactor_exits_1(capsys):
+    # psi_12 = 399165290221 * 798330580441 has no prime factor up to 10^6.
+    code, out, err = run_cli(capsys, "test", "318665857834031151167461", "--phi")
+    assert code == 1
+    assert out == ""
+    assert "too large to certify" in err
 
 
 @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1.5e0", "1e-5", "1e99999"])

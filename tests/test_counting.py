@@ -5,13 +5,22 @@ import pytest
 from cyclopract import (
     count_p_practical_partitioned,
     count_phi_practical,
+    degree_multiset,
     is_p_practical,
     ratio_row,
     render_csv,
     render_json,
     render_text,
 )
-from cyclopract.counting import _scan_range
+from cyclopract.arith import divisors_and_phis, prime_powers
+from cyclopract.counting import (
+    _p_practical,
+    _phi_practical,
+    _scan_range,
+    p_chain,
+    p_degree_weights,
+    phi_chain,
+)
 
 
 @pytest.mark.parametrize(
@@ -129,3 +138,51 @@ def test_phi_stream_agrees_with_single_shot(spf10k):
     for n in range(1, 2001):
         streamed = _scan_range(n, n, [10**4], spf10k.spf, None)[0]
         assert bool(streamed) == is_phi_practical(n).practical, n
+
+
+def unfiltered_greedy(n, spf, order_values):
+    """The sorted (degree, phi) greedy over every divisor of n, no prefilter."""
+    divs, phis = divisors_and_phis(n, spf)
+    if order_values is None:
+        pairs = sorted(zip(phis, phis))
+    else:
+        pairs = sorted(zip(map(order_values.__getitem__, divs), phis))
+    reach = 0
+    for deg, ph in pairs:
+        if deg > reach + 1:
+            return False
+        reach += ph
+    return True
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, None])
+def test_chain_never_rejects_a_practical_n(spf100k, order_tables, p):
+    spf = spf100k.spf
+    ov = None if p is None else order_tables(p, 10**5).values
+    survivors = 0
+    for n in range(1, 10**5 + 1):
+        practical = unfiltered_greedy(n, spf, ov)
+        if p is None:
+            passed = phi_chain(n, spf)
+            decided = _phi_practical(n, spf)
+        else:
+            passed = p_chain(n, spf, ov) is not None
+            decided = _p_practical(n, spf, ov)
+        assert passed or not practical, n
+        assert decided == practical, n
+        survivors += passed
+    # The chain leaves under a fifth of n to the greedy (10.6k to 17.9k here).
+    assert survivors < 2 * 10**4
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_merged_degree_weights_match_degree_multiset(spf100k, order_tables, p):
+    spf = spf100k.spf
+    table = order_tables(p, 2 * 10**4)
+    ov = table.values
+    for n in range(1, 2 * 10**4 + 1):
+        pps = [(ov[q], q, q**e) for q, e in prime_powers(n, spf)]
+        weights = p_degree_weights(pps, ov)
+        assert all(w % deg == 0 for deg, w in weights.items()), n
+        merged = {deg: w // deg for deg, w in weights.items()}
+        assert merged == degree_multiset(n, p, table).degree_counts(), n
