@@ -12,13 +12,13 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
 from math import exp, isfinite, lcm, log
 from operator import add, floordiv, mul
 
 from .arith import (
     SpfTable,
     build_spf_table,
+    chain_sieve,
     divisors_sorted,
     factorize,
     factorize_trial,
@@ -26,6 +26,7 @@ from .arith import (
     lambda_prime_power,
     prime_power_sieve,
     prime_powers,
+    primes_up_to,
 )
 from .orders import OrderTable
 
@@ -132,45 +133,32 @@ def is_z_dense(n: int, z, table: SpfTable | None = None) -> bool:
     return True
 
 
-def z_dense_chain(n: int, spf: array, num: int, den: int) -> bool:
-    """Prime-level Z-dense test for Z = num/den (Tenenbaum's criterion):
-    with q_1 < q_2 < ... the primes of n and M_j the product of the prime
-    powers of q_1..q_j, n is Z-dense if and only if q_{j+1} * den <= num * M_j
-    for every j (M_0 = 1).
-
-    Necessity: a divisor below q_{j+1} has only primes below q_{j+1}, so it
-    divides M_j; the divisor preceding q_{j+1} is therefore at most M_j, and
-    the ratio q_{j+1} / M_j > Z would be a gap.  Sufficiency, by induction
-    on j: the divisors of M_{j+1} are the blocks q^a * D(M_j), a = 0..e,
-    with q = q_{j+1} and D(M_j) Z-dense.  Inside a block the ratios are those
-    of D(M_j).  The first divisor above the top q^a * M_j of block a is at
-    most Z * q^a * M_j: either it is q^(a+1) <= Z * q^a * M_j, or it is
-    q^(a+1) * d with its predecessor q^(a+1) * d' <= q^a * M_j in block
-    a + 1, and d <= Z * d'.  The walk stops at the first failing prime, so
-    most n are decided from their smallest primes without a divisor list.
-    """
-    m = 1
-    while n > 1:
-        q = spf[n]
-        if q * den > num * m:
-            return False
-        n //= q
-        m *= q
-        while spf[n] == q:
-            n //= q
-            m *= q
-    return True
-
-
 def count_z_dense(limit: int, z, table: SpfTable | None = None) -> int:
-    """Exact count of Z-dense n <= limit, by ``z_dense_chain`` on each n."""
+    """Exact count of Z-dense n <= limit, by Tenenbaum's criterion through
+    one ``chain_sieve``.
+
+    With q_1 < q_2 < ... the primes of n and M_j the product of the prime
+    powers of q_1..q_j, n is Z-dense if and only if q_{j+1} <= Z * M_j for
+    every j (M_0 = 1), a prime chain with the primes in increasing order
+    and least cofactor ceil(q * den / num) for Z = num/den.  Necessity: a
+    divisor below q_{j+1} has only primes below q_{j+1}, so it divides M_j;
+    the divisor preceding q_{j+1} is therefore at most M_j, and the ratio
+    q_{j+1} / M_j > Z would be a gap.  Sufficiency, by induction on j: the
+    divisors of M_{j+1} are the blocks q^a * D(M_j), a = 0..e, with
+    q = q_{j+1} and D(M_j) Z-dense.  Inside a block the ratios are those of
+    D(M_j).  The first divisor above the top q^a * M_j of block a is at most
+    Z * q^a * M_j: either it is q^(a+1) <= Z * q^a * M_j, or it is
+    q^(a+1) * d with its predecessor q^(a+1) * d' <= q^a * M_j in block
+    a + 1, and d <= Z * d'.  ``is_z_dense`` is the divisor-scan reference.
+    """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     num, den = _ratio_parts(z)
     if num < 2 * den:
         raise ValueError(f"Z must be >= 2, got {z}")
-    spf = _require_spf(limit, table).spf
-    return sum(map(z_dense_chain, range(1, limit + 1), repeat(spf), repeat(num), repeat(den)))
+    table = _require_spf(limit, table)
+    ok = chain_sieve(limit, primes_up_to(limit, table), lambda q: -(-q * den // num))
+    return ok.count(1)
 
 
 def dense_count_bound_ratio(limit: int, z, count: int) -> float:

@@ -1,13 +1,15 @@
-"""Smallest-prime-factor sieve, the three kernels that read it, and the
-elementary arithmetic functions.
+"""Smallest-prime-factor sieve, the kernels that read it, the prime chain
+sieve, and the elementary arithmetic functions.
 
 Everything downstream (order sieves, practicality checks, counters, scanners)
 reads factorizations from one shared ``SpfTable`` through three kernels:
 ``prime_powers`` splits one n into its prime powers, ``divisors_and_phis``
 expands one n into its divisors and their totients, and
 ``prime_power_sieve`` tabulates a function fixed by its values on prime
-powers for every n up to a limit.  The table is immutable after construction
-and safe to share between worker processes.
+powers for every n up to a limit.  ``primes_up_to`` reads the primes off
+the table, and ``chain_sieve`` settles a prime chain for every n up to a
+limit by slice copies, which is how every count rejects most n.  The table
+is immutable after construction and safe to share between worker processes.
 """
 from __future__ import annotations
 
@@ -15,9 +17,10 @@ import os
 from array import array
 from dataclasses import dataclass
 from collections import Counter
-from itertools import count
+from itertools import compress, count, islice
 from math import gcd, isqrt, lcm
-from typing import Callable, Iterator
+from operator import eq
+from typing import Callable, Iterable, Iterator
 
 from .errors import CapacityError
 
@@ -127,8 +130,9 @@ def prime_powers(n: int, spf: array) -> Iterator[tuple[int, int]]:
 def divisors_and_phis(n: int, spf: array) -> tuple[list[int], list[int]]:
     """Divisors of n and their totients, index-aligned, in generation order.
 
-    The split of ``prime_powers`` is inlined here because the count scan
-    calls this once per n, and a generator per n costs measurably more.
+    The split of ``prime_powers`` is inlined here because the phi count
+    calls this once per chain survivor, and a generator each costs
+    measurably more.
     """
     divs = [1]
     phis = [1]
@@ -211,6 +215,54 @@ def prime_power_sieve(
             v = memo[qe] = value(q, e)
         values[d] = combine(values[m], v)
     return values
+
+
+def primes_up_to(limit: int, table: SpfTable) -> Iterator[int]:
+    """The primes q <= limit, increasing: the indices with spf[q] == q."""
+    if limit > table.limit:
+        raise ValueError(f"limit {limit} exceeds spf table limit {table.limit}")
+    index = range(2, limit + 1)
+    return compress(index, map(eq, islice(table.spf, 2, limit + 1), index))
+
+
+def chain_sieve(
+    limit: int, primes: Iterable[int], least_cofactor: Callable[[int], int]
+) -> bytearray:
+    """ok[n] for every n <= limit: whether the prime chain of n holds, with
+    the primes of n taken in the order of ``primes`` (every prime up to
+    limit, in key order) and q allowed after a cofactor m when
+    m >= least_cofactor(q).
+
+    The chain of n = q_1^e_1 ... q_r^e_r, primes in key order, holds when
+    M_j >= c(q_{j+1}) for every j, M_j being the product of the first j
+    prime powers.  The counts use it with c(q) = ord(p mod q) - 1 over F_p,
+    q - 2 over Z, and ceil(q * den / num) for Z-dense with Z = num/den.
+
+    For each prime q in key order and each q^e <= limit, e ascending, the
+    sieve sets ok[q^e * m] = ok[m] for every m >= c(q) by one slice copy,
+    and zeroes the entries with m < c(q) by another.  Proof sketch: the
+    last write to an n > 1 is made by its last prime q in key order, at the
+    exponent e with q^e exactly dividing n (larger e never reach n, smaller
+    e came before), so ok[n] = ok[m] and m >= c(q) with n = q^e * m.  Every
+    prime of m comes earlier in key order, so ok[m] is already final when
+    it is copied, and by induction it is the chain of m, which is the chain
+    of n without its last link.  Ties in key are harmless: among primes of
+    equal key, the condition M_j >= c for the first of them implies it for
+    the rest, since M_j only grows.  ok[0] is 0 and ok[1] is 1.
+    """
+    charge_budget(limit + 1, "chain sieve")
+    ok = bytearray(b"\x01") * (limit + 1)
+    ok[0] = 0
+    for q in primes:
+        c = max(least_cofactor(q), 1)
+        qe = q
+        while qe <= limit:
+            top = limit // qe
+            low = min(c, top + 1)
+            ok[qe : qe * low : qe] = bytes(low - 1)
+            ok[qe * low :: qe] = ok[low : top + 1]
+            qe *= q
+    return ok
 
 
 def factorize(n: int, table: SpfTable) -> Factorization:

@@ -25,7 +25,7 @@ from .analysis import (
     tau_bound_ratio,
     tau_threshold_count,
 )
-from .arith import build_spf_table, is_prime
+from .arith import MILLER_RABIN_PROVEN_BELOW, build_spf_table, is_prime
 from .counting import (
     count_p_practical_partitioned,
     count_phi_practical,
@@ -108,7 +108,13 @@ def _parse_positive(text: str) -> int:
 
 
 def _parse_prime(text: str) -> int:
+    """A prime flag value.  ``is_prime`` is proven only below psi_12, so a
+    larger value is refused rather than trusted."""
     value = _parse_count_arg(text)
+    if value >= MILLER_RABIN_PROVEN_BELOW:
+        raise argparse.ArgumentTypeError(
+            f"cannot certify a prime at or above {MILLER_RABIN_PROVEN_BELOW}: {text!r}"
+        )
     if not is_prime(value):
         raise argparse.ArgumentTypeError(f"not a prime: {text!r}")
     return value

@@ -1,18 +1,22 @@
 """Checkpointed counting sieves for phi-practical and p-practical integers.
 
-One pass streams n = 1..N and decides each n from its prime powers, read
-off the shared smallest-prime-factor table.  A prime chain rejects most n
-first: sorted by a key (ord*(p, q) for F_p, q - 1 over Z), a prime whose
-key exceeds one plus the product of the prime powers before it leaves a
-gap no degree can fill (``p_chain``, ``phi_chain``).  The survivors run the
-sorted-degree greedy: over F_p on the degree -> weight map merged from the
-prime powers (``p_degree_weights``), over Z on the sorted totients of the
-divisors.  Counts are snapshotted as the stream crosses each checkpoint,
-so a single pass yields the whole report.
+A count runs in two steps.  First one ``chain_sieve`` settles the prime
+chain for every n up to the last checkpoint: with the primes of n sorted
+by a key, k(q) = ord(p mod q) over F_p and q - 1 over Z, a prime whose key
+exceeds one plus the product M of the prime powers before it leaves a gap
+no degree can fill, because every degree below that key comes from a
+divisor of M and those divisors weigh M in all.  Over F_p the keys are
+computed at the primes alone (``orders.prime_order_keys``), or read from
+an order table when the caller passes one; no per-n order table is built.
+Then the survivors run the sorted-degree greedy: over F_p on the
+degree -> weight map merged from the prime powers
+(``practicality.merged_degree_weights``, the kernel ``cyclopract test``
+also uses), over Z on the sorted totients of the divisors.
 
-The partitioned variant splits [1, N] into contiguous ranges whose per-range,
-per-checkpoint subcounts merge by addition; output is identical to the
-sequential path for any number of parts.
+``parts`` deals the survivor list out like cards, every parts-th survivor
+to each part, and decides the parts in a fork pool; per-part,
+per-checkpoint counts merge by addition, so the output is identical for
+any number of parts.
 """
 from __future__ import annotations
 
@@ -20,14 +24,24 @@ import json
 import multiprocessing
 import os
 from array import array
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import islice, repeat
-from math import lcm, log
-from typing import Sequence
+from functools import partial
+from itertools import compress, islice
+from math import log
+from typing import Callable, Sequence
 
-from .arith import SpfTable, build_spf_table, divisors_and_phis
-from .orders import OrderTable, sieve_order_star
+from .arith import (
+    SpfTable,
+    build_spf_table,
+    chain_sieve,
+    divisors_and_phis,
+    prime_powers,
+    primes_up_to,
+)
+from .orders import OrderTable, lifted_orders, prime_order_keys
+from .practicality import greedy_gap, merged_degree_weights
 
 DEFAULT_CHECKPOINT_DECADES = tuple(10**k for k in range(2, 8))
 
@@ -81,108 +95,9 @@ def _resolve_checkpoints(limit: int, checkpoints: Sequence[int] | None) -> list[
     return cps
 
 
-def p_chain(n: int, spf: array, order_values: array) -> list[tuple[int, int, int]] | None:
-    """Prime-chain prefilter for p-practicality: the prime powers of n as
-    (k(q), q, q^e) sorted by the key k(q) = ord*(p, q), or None when the
-    chain proves n is not p-practical.
-
-    With M_j the product of the first j prime powers in key order, n is
-    rejected when some k_{j+1} > M_j + 1.  Proof sketch: the divisors built
-    only from the first j primes are the divisors of M_j, whose phi-weights
-    sum to M_j.  Every other divisor d has a prime q_i with i > j, so
-    ord*(p, d) is the lcm of prime-power orders, one of which is a multiple
-    of k_i >= k_{j+1} (the order mod q^a is the order mod q times a power
-    of q).  So every degree below k_{j+1} comes from a divisor of M_j, the
-    sorted greedy reaches at most M_j before its first degree >= k_{j+1},
-    and that degree exceeds reach + 1: the greedy stalls.  The key of q = p
-    is 1 (the table holds ord* = 1 there), so it sorts first and never
-    rejects.
-    """
-    pps = []
-    while n > 1:
-        q = spf[n]
-        n //= q
-        qe = q
-        while spf[n] == q:
-            n //= q
-            qe *= q
-        pps.append((order_values[q], q, qe))
-    pps.sort()
-    m = 1
-    for k, _, qe in pps:
-        if k > m + 1:
-            return None
-        m *= qe
-    return pps
-
-
-def p_degree_weights(pps: list[tuple[int, int, int]], order_values: array) -> dict[int, int]:
-    """degree -> total phi-weight of the divisors of n with that ord*(p, d),
-    built from the prime powers (k, q, q^e) of n alone.
-
-    Start from {1: 1} (the divisor 1) and merge each q^e in: a divisor
-    d * q^a of the part built so far has degree lcm(ord*(p, d), ord*(p, q^a))
-    by the Chinese remainder theorem and weight phi(d) * phi(q^a).  This is
-    the aggregation ``coverage_check`` makes (weight = degree * count), and
-    only prime-power entries of the order table are read.
-    """
-    weights = {1: 1}
-    for _, q, qe in pps:
-        items = list(weights.items())
-        qa = q
-        ph = q - 1
-        while True:
-            k = order_values[qa]
-            for deg, w in items:
-                deg = lcm(deg, k)
-                weights[deg] = weights.get(deg, 0) + w * ph
-            if qa == qe:
-                break
-            qa *= q
-            ph *= q
-    return weights
-
-
-def _p_practical(n: int, spf: array, order_values: array) -> bool:
-    pps = p_chain(n, spf, order_values)
-    if pps is None:
-        return False
-    weights = p_degree_weights(pps, order_values)
-    reach = 0
-    for deg in sorted(weights):
-        if deg > reach + 1:
-            return False
-        reach += weights[deg]
-    return True
-
-
-def phi_chain(n: int, spf: array) -> bool:
-    """Prime-chain prefilter for phi-practicality: False proves n is not
-    phi-practical.
-
-    The key of a prime q is q - 1, which increases with q, so the primes
-    come in key order straight from the SPF walk.  With M_j the product of
-    the prime powers below q_{j+1}, n is rejected when q_{j+1} - 1 > M_j + 1:
-    the divisors of M_j carry phi-weight M_j, and every other divisor d has
-    phi(d) a multiple of some q_i - 1 >= q_{j+1} - 1, so the greedy stalls
-    as in ``p_chain``.
-    """
-    m = 1
-    while n > 1:
-        q = spf[n]
-        if q > m + 2:
-            return False
-        n //= q
-        m *= q
-        while spf[n] == q:
-            n //= q
-            m *= q
-    return True
-
-
 def _phi_practical(n: int, spf: array) -> bool:
-    if not phi_chain(n, spf):
-        return False
+    # The Z verdict for an n that passed the chain: the greedy over its
+    # sorted divisor totients.
     phis = divisors_and_phis(n, spf)[1]
     phis.sort()
     reach = 0
@@ -193,30 +108,43 @@ def _phi_practical(n: int, spf: array) -> bool:
     return True
 
 
-def _scan_range(
-    lo: int,
-    hi: int,
-    checkpoints: list[int],
-    spf: array,
-    order_values: array | None,
-) -> list[int]:
-    """Per-checkpoint practical counts restricted to n in [lo, hi].
+def _p_decider(p: int, spf: array, keys: array) -> Callable[[int], bool]:
+    """The F_p verdict for an n that passed the chain: the greedy over
+    ``merged_degree_weights``, with orders lifted from the chain keys.
+    Every prime of such an n has an exact key, and only the few q^e with
+    e >= 2 are lifted, once each."""
+    lifted: dict[int, list[int]] = {}
 
-    counts[i] is the number of practical n with lo <= n <= min(hi, X_i).
-    order_values None selects the phi multiset (no order lookups).
-    """
-    if order_values is None:
-        practical = map(_phi_practical, range(lo, hi + 1), repeat(spf))
-    else:
-        practical = map(_p_practical, range(lo, hi + 1), repeat(spf), repeat(order_values))
+    def orders(q: int, e: int) -> Sequence[int]:
+        if e == 1:
+            return (keys[q],)
+        qe = q**e
+        got = lifted.get(qe)
+        if got is None:
+            got = lifted[qe] = [1] * e if q == p else lifted_orders(p, q, e, keys[q])
+        return got
+
+    return lambda n: greedy_gap(merged_degree_weights(prime_powers(n, spf), orders)) is None
+
+
+def _count_part(
+    part: int,
+    parts: int,
+    checkpoints: list[int],
+    survivors: array,
+    practical: Callable[[int], bool],
+) -> list[int]:
+    """Per-checkpoint practical counts over survivors[part::parts]."""
+    mine = survivors[part::parts]
+    decided = map(practical, mine)
     counts = []
     running = 0
-    start = lo
+    done = 0
     for x in checkpoints:
-        stop = min(x, hi)
-        if stop >= start:
-            running += sum(islice(practical, stop - start + 1))
-            start = stop + 1
+        end = bisect_right(mine, x)
+        if end > done:
+            running += sum(islice(decided, end - done))
+            done = end
         counts.append(running)
     return counts
 
@@ -224,25 +152,11 @@ def _scan_range(
 _WORKER_STATE: dict = {}
 
 
-def _scan_worker(bounds: tuple[int, int]) -> list[int]:
-    lo, hi = bounds
-    return _scan_range(
-        lo,
-        hi,
-        _WORKER_STATE["checkpoints"],
-        _WORKER_STATE["spf"],
-        _WORKER_STATE["order_values"],
+def _count_worker(part: int) -> list[int]:
+    state = _WORKER_STATE
+    return _count_part(
+        part, state["parts"], state["checkpoints"], state["survivors"], state["practical"]
     )
-
-
-def _partition_bounds(limit: int, parts: int) -> list[tuple[int, int]]:
-    bounds = []
-    for i in range(parts):
-        lo = limit * i // parts + 1
-        hi = limit * (i + 1) // parts
-        if lo <= hi:
-            bounds.append((lo, hi))
-    return bounds
 
 
 def usable_cpu_count() -> int:
@@ -253,32 +167,34 @@ def usable_cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _run_partitioned(
-    limit: int,
+def _count_survivors(
+    ok: bytearray,
     checkpoints: list[int],
-    spf: array,
-    order_values: array | None,
+    practical: Callable[[int], bool],
     parts: int,
 ) -> list[int]:
-    bounds = _partition_bounds(limit, parts)
-    if len(bounds) > 1 and "fork" in multiprocessing.get_all_start_methods():
-        partials = _run_workers(bounds, checkpoints, spf, order_values)
+    """Per-checkpoint counts of the n the chain passed (ok[n] set) that
+    ``practical`` accepts.  Part i takes every parts-th survivor from the
+    i-th, so the parts carry even loads although larger n cost more; they
+    run in a fork pool when there is more than one, and their counts add."""
+    survivors = array("I", compress(range(len(ok)), ok))
+    parts = min(parts, len(survivors))
+    if parts > 1 and "fork" in multiprocessing.get_all_start_methods():
+        partials = _run_workers(parts, checkpoints, survivors, practical)
     else:
-        partials = [_scan_range(lo, hi, checkpoints, spf, order_values) for lo, hi in bounds]
-    totals = [0] * len(checkpoints)
-    for partial in partials:
-        for i, c in enumerate(partial):
-            totals[i] += c
-    return totals
+        partials = [_count_part(i, parts, checkpoints, survivors, practical) for i in range(parts)]
+    return [sum(column) for column in zip(*partials)]
 
 
-def _run_workers(bounds, checkpoints, spf, order_values) -> list[list[int]]:
-    _WORKER_STATE.update(checkpoints=checkpoints, spf=spf, order_values=order_values)
+def _run_workers(parts, checkpoints, survivors, practical) -> list[list[int]]:
+    _WORKER_STATE.update(
+        parts=parts, checkpoints=checkpoints, survivors=survivors, practical=practical
+    )
     try:
-        workers = min(len(bounds), usable_cpu_count())
+        workers = min(parts, usable_cpu_count())
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            return list(pool.map(_scan_worker, bounds))
+            return list(pool.map(_count_worker, range(parts)))
     finally:
         _WORKER_STATE.clear()
 
@@ -298,21 +214,33 @@ def count_p_practical_partitioned(
     spf_table: SpfTable | None = None,
     order_table: OrderTable | None = None,
 ) -> CountReport:
-    """Range-partitioned F_p count; output does not depend on parts."""
+    """Exact F_p counts at each checkpoint; output does not depend on parts.
+
+    The chain keys are read from ``order_table`` when one is passed, and
+    otherwise computed at the primes alone (``prime_order_keys``).
+    """
     if parts < 1:
         raise ValueError(f"parts must be >= 1, got {parts}")
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
     cps = _resolve_checkpoints(limit, checkpoints)
+    if order_table is not None:
+        if order_table.base != p:
+            raise ValueError(f"order table base {order_table.base} does not match p={p}")
+        if order_table.limit < limit:
+            raise ValueError(f"order table limit {order_table.limit} below {limit}")
     if spf_table is None:
         spf_table = build_spf_table(limit)
+    top = cps[-1]
+    primes = list(primes_up_to(top, spf_table))
     if order_table is None:
-        order_table = sieve_order_star(p, limit, spf_table)
-    if order_table.base != p:
-        raise ValueError(f"order table base {order_table.base} does not match p={p}")
-    if order_table.limit < limit:
-        raise ValueError(f"order table limit {order_table.limit} below {limit}")
-    totals = _run_partitioned(limit, cps, spf_table.spf, order_table.values, parts)
+        keys = prime_order_keys(p, top, primes, spf_table)
+    else:
+        keys = order_table.values
+    primes.sort(key=keys.__getitem__)
+    ok = chain_sieve(top, primes, lambda q: keys[q] - 1)
+    practical = _p_decider(p, spf_table.spf, keys)
+    totals = _count_survivors(ok, cps, practical, parts)
     return CountReport(kind="p", base=p, limit=limit, rows=_build_rows(cps, totals))
 
 
@@ -331,7 +259,9 @@ def count_phi_practical(
     cps = _resolve_checkpoints(limit, checkpoints)
     if spf_table is None:
         spf_table = build_spf_table(limit)
-    totals = _run_partitioned(limit, cps, spf_table.spf, None, parts)
+    top = cps[-1]
+    ok = chain_sieve(top, primes_up_to(top, spf_table), lambda q: q - 2)
+    totals = _count_survivors(ok, cps, partial(_phi_practical, spf=spf_table.spf), parts)
     return CountReport(kind="phi", base=None, limit=limit, rows=_build_rows(cps, totals))
 
 

@@ -1,18 +1,24 @@
-"""Multiplicative orders, coprime parts, and the batch order-star sieve.
+"""Multiplicative orders, coprime parts, the batch order-star sieve, and the
+chain keys of a count.
 
 ``order_star(a, n)`` is the multiplicative order of a modulo the largest
-divisor of n coprime to a.  The sieve computes it for every n up to a limit
-through ``prime_power_sieve``, as the lcm of memoized prime-power orders.
+divisor of n coprime to a.  ``sieve_order_star`` computes it for every n up
+to a limit through ``prime_power_sieve``, as the lcm of memoized
+prime-power orders; the ``orders``, ``ratios`` and ``smallorder`` commands
+read that table.  A count needs the orders at the primes alone
+(``prime_order_keys``), and ``lifted_orders`` lifts an order mod q to the
+powers of q.
 """
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .arith import (
     SpfTable,
     carmichael_lambda,
+    charge_budget,
     factorize_trial,
     is_prime,
     prime_power_sieve,
@@ -89,18 +95,23 @@ def prime_power_order(a: int, q: int, k: int) -> int:
         raise ValueError(f"q={q} is not prime")
     if a % q == 0:
         raise ValueError(f"q={q} divides a={a}")
-    return _lift_order(a, q, k, mult_order(a, q, q - 1))
+    return lifted_orders(a, q, k, mult_order(a, q, q - 1))[-1]
 
 
-def _lift_order(a: int, q: int, k: int, t: int) -> int:
-    # t is the order of a mod q; the order mod q^(j+1) is the order mod q^j,
-    # times q exactly when that order no longer satisfies the congruence.
+def lifted_orders(a: int, q: int, k: int, t: int) -> list[int]:
+    """Orders of a modulo q, q^2, ..., q^k, from t, the order modulo q.
+
+    The order mod q^(j+1) is the order mod q^j, times q exactly when that
+    order no longer satisfies the congruence mod q^(j+1).
+    """
+    out = [t]
     mod = q
     for _ in range(k - 1):
         mod *= q
         if pow(a, t, mod) != 1:
             t *= q
-    return t
+        out.append(t)
+    return out
 
 
 def mult_order_star(a: int, n: int) -> int:
@@ -129,7 +140,41 @@ def sieve_order_star(a: int, limit: int, table: SpfTable) -> OrderTable:
     spf = table.spf
 
     def order_mod_prime_power(q: int, e: int) -> int:
-        return _lift_order(a, q, e, _prime_order_sieved(a, q, spf))
+        return lifted_orders(a, q, e, _prime_order_sieved(a, q, spf))[-1]
 
     values = prime_power_sieve(limit, table, order_mod_prime_power, lcm, skip_base=a)
     return OrderTable(base=a, limit=limit, values=values)
+
+
+# ord(a mod q) <= s exactly when q divides a^j - 1 for some j <= s.
+_STAMP_SPAN = 64
+
+
+def prime_order_keys(a: int, limit: int, primes: list[int], table: SpfTable) -> array:
+    """Chain keys for a count up to limit, as one 32-bit array indexed by q.
+
+    At each prime q in ``primes`` the key is ord(a mod q) (1 where q
+    divides a) whenever that order is at most limit // q + 1; otherwise it
+    is some value above that bound.  0 at every other index.
+
+    A cofactor of q below the limit is at most limit // q, so the chain
+    rejects every multiple of q whose order exceeds limit // q + 1, and any
+    key above that bound does the same; every prime of a survivor thus has
+    its exact order.  That settles most primes with one remainder: for
+    q > limit / 64 the bound is at most 64, ord(a mod q) <= 64 exactly when
+    q divides the product of a^j - 1 over j <= 64, and otherwise the key is
+    limit // q + 2.  The other orders come from ``_prime_order_sieved``,
+    q - 1 factored through the sieve.
+    """
+    charge_budget(4 * (limit + 1), "prime order keys")
+    keys = array("I", [0]) * (limit + 1)
+    stamp = prod(a**j - 1 for j in range(1, _STAMP_SPAN + 1))
+    spf = table.spf
+    for q in primes:
+        if a % q == 0:
+            keys[q] = 1
+        elif limit // q < _STAMP_SPAN and stamp % q:
+            keys[q] = limit // q + 2
+        else:
+            keys[q] = _prime_order_sieved(a, q, spf)
+    return keys

@@ -5,19 +5,28 @@ degree order_star(p, d), and there are phi(d)/order_star(p, d) of them; over
 the integers the divisor d contributes a single factor of degree phi(d).
 An n is "practical" for a degree multiset when every target in 1..n is a
 bounded-multiplicity sum of degrees, which the classic complete-sequence
-greedy decides in O(tau(n) log tau(n)).  A dense subset-sum oracle and a
-direct polynomial-factorization oracle cross-check both constructions.
+greedy decides.
+
+Over F_p every degree is an lcm of ord(p mod q^a) over the prime powers of
+d, so a decision needs only ord(p mod q) at the primes q of n, lifted to
+q^e.  ``merged_degree_weights`` builds the degree -> weight map from those
+prime powers, and ``greedy_gap`` runs the greedy over it; ``is_p_practical``
+and the count survivors share both.  ``degree_multiset`` (one
+``mult_order_star`` per divisor) with ``coverage_check``, a dense
+subset-sum oracle and a direct polynomial-factorization oracle stay as
+independent checks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Union
+from math import lcm
+from typing import Callable, Iterable, Sequence, Union
 
-from .arith import divisor_phi_pairs, factorize_trial, is_prime
+from .arith import DEFAULT_DIVISOR_CAP, divisor_phi_pairs, factorize_trial, is_prime
 from .errors import CapacityError
 from .gfpoly import distinct_degree_counts
-from .orders import OrderTable, mult_order_star
+from .orders import OrderTable, lifted_orders, mult_order, mult_order_star
 
 OrderSource = Union[OrderTable, Callable[[int], int], None]
 
@@ -143,9 +152,84 @@ def dp_coverage_oracle(ms: DegreeMultiset, cap: int = DEFAULT_ORACLE_CAP) -> Pra
     return PracticalVerdict(practical=False, witness_gap=gap)
 
 
+def merged_degree_weights(
+    prime_powers: Iterable[tuple[int, int]],
+    orders: Callable[[int, int], Sequence[int]],
+) -> dict[int, int]:
+    """degree -> total phi-weight of the divisors of n with that ord*(p, d),
+    from the prime powers (q, e) of n and orders(q, e), the orders of p
+    modulo q, q^2, ..., q^e (all 1 when q = p).
+
+    Start from {1: 1} (the divisor 1) and merge each q^e in: a divisor
+    d * q^a of the part built so far has degree lcm(ord*(p, d), ord*(p, q^a))
+    by the Chinese remainder theorem and weight phi(d) * phi(q^a).  This is
+    the aggregation ``coverage_check`` makes (weight = degree * count), with
+    no divisor list.  The map never has more entries than n has divisors;
+    past ``DEFAULT_DIVISOR_CAP`` entries it raises CapacityError.
+    """
+    weights = {1: 1}
+    for q, e in prime_powers:
+        ladder = orders(q, e)
+        if ladder[-1] == 1:
+            # Every order divides the last: each d * q^a keeps the degree of d.
+            qe = q**e
+            for deg in weights:
+                weights[deg] *= qe
+            continue
+        items = list(weights.items())
+        ph = q - 1
+        for k in ladder:
+            for deg, w in items:
+                deg = lcm(deg, k)
+                weights[deg] = weights.get(deg, 0) + w * ph
+            ph *= q
+        if len(weights) > DEFAULT_DIVISOR_CAP:
+            raise CapacityError(
+                f"more than {DEFAULT_DIVISOR_CAP} distinct factor degrees"
+            )
+    return weights
+
+
+def greedy_gap(weights: dict[int, int]) -> int | None:
+    """The greedy of ``coverage_check`` over a degree -> phi-weight map: the
+    smallest unreachable degree, or None when every target is reachable."""
+    reach = 0
+    for deg in sorted(weights):
+        if deg > reach + 1:
+            return reach + 1
+        reach += weights[deg]
+    return None
+
+
+def _prime_power_orders(p: int, source: OrderSource) -> Callable[[int, int], list[int]]:
+    if source is not None:
+        lookup = _order_lookup(p, source)
+        return lambda q, e: [lookup(q**a) for a in range(1, e + 1)]
+
+    def orders(q: int, e: int) -> list[int]:
+        if q == p:
+            return [1] * e
+        return lifted_orders(p, q, e, mult_order(p, q, q - 1))
+
+    return orders
+
+
 def is_p_practical(n: int, p: int, order_source: OrderSource = None) -> PracticalVerdict:
-    """Does x^n - 1 have a divisor of every degree 1..n over F_p?"""
-    return coverage_check(degree_multiset(n, p, order_source))
+    """Does x^n - 1 have a divisor of every degree 1..n over F_p?
+
+    Factors n once and takes ord(p mod q) once per prime q of n (or reads
+    an order source at the prime powers), lifts it to q^e, and runs the
+    greedy over ``merged_degree_weights``.  ``coverage_check`` over
+    ``degree_multiset`` is the independent oracle for the same verdict
+    and witness.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not is_prime(p):
+        raise ValueError(f"p={p} is not prime")
+    orders = _prime_power_orders(p, order_source)
+    gap = greedy_gap(merged_degree_weights(factorize_trial(n).factors, orders))
+    return PracticalVerdict(practical=gap is None, witness_gap=gap)
 
 
 def is_phi_practical(n: int) -> PracticalVerdict:

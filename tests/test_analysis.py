@@ -31,7 +31,18 @@ from cyclopract import (
     tau,
     tau_threshold_count,
 )
-from cyclopract.analysis import z_dense_chain
+from cyclopract.arith import chain_sieve, prime_powers, primes_up_to
+
+
+def z_dense_chain(n, spf, num, den):
+    """Per-n reference for Tenenbaum's criterion with Z = num/den: primes
+    increasing, reject when q_{j+1} * den > num * M_j."""
+    m = 1
+    for q, e in prime_powers(n, spf):
+        if q * den > num * m:
+            return False
+        m *= q**e
+    return True
 
 
 def smooth_part(m, bound):
@@ -107,9 +118,16 @@ def test_count_z_dense_matches_brute_force_at_1e5(spf100k):
 
 @pytest.mark.parametrize("z", [2, Fraction(5, 2), 3, 10])
 def test_z_dense_chain_matches_divisor_scan(spf100k, z):
+    # The chain sieve that count_z_dense runs, the per-n chain and the
+    # divisor scan agree on every n <= 10^5.
     num, den = z.as_integer_ratio()
+    ok = chain_sieve(10**5, primes_up_to(10**5, spf100k), lambda q: -(-q * den // num))
+    assert ok[0] == 0
     for n in range(1, 10**5 + 1):
-        assert z_dense_chain(n, spf100k.spf, num, den) == is_z_dense(n, z, spf100k), n
+        dense = is_z_dense(n, z, spf100k)
+        assert z_dense_chain(n, spf100k.spf, num, den) == dense, n
+        assert bool(ok[n]) == dense, n
+    assert count_z_dense(10**5, z, spf100k) == ok.count(1)
 
 
 def test_count_z_dense_monotone(spf10k):

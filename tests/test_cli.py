@@ -276,6 +276,39 @@ def test_large_prime_n_decides_quickly(capsys, kind):
     assert " practical=no " in out
 
 
+PSI_12 = "318665857834031151167461"  # 399165290221 * 798330580441
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["test", "10", "--prime", PSI_12],
+        ["count", "--prime", PSI_12, "--limit", "100"],
+        ["stats", "aq", "--base", "2", "--q", PSI_12, "--limit", "10"],
+    ],
+)
+def test_uncertifiable_prime_flag_exits_2(capsys, argv):
+    # is_prime passes psi_12 (composite); no prime flag at or above it is trusted.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "cannot certify" in capsys.readouterr().err
+
+
+def test_more_divisors_than_the_cap_decides(capsys):
+    # The product of the first 21 primes has 2^21 divisors, twice the
+    # divisor-list cap; the merged degree map stays small.
+    primorial = 1
+    for q in range(2, 74):
+        if all(q % r for r in range(2, q)):
+            primorial *= q
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "test", str(primorial), "--prime", "2")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert out.startswith(f"n={primorial} kind=p base=2 practical=")
+
+
 def test_uncertifiable_cofactor_exits_1(capsys):
     # psi_12 = 399165290221 * 798330580441 has no prime factor up to 10^6.
     code, out, err = run_cli(capsys, "test", "318665857834031151167461", "--phi")

@@ -1,26 +1,58 @@
 import random
+from functools import partial
 
 import pytest
 
 from cyclopract import (
     count_p_practical_partitioned,
     count_phi_practical,
+    coverage_check,
     degree_multiset,
-    is_p_practical,
+    phi_degree_multiset,
     ratio_row,
     render_csv,
     render_json,
     render_text,
 )
-from cyclopract.arith import divisors_and_phis, prime_powers
-from cyclopract.counting import (
-    _p_practical,
-    _phi_practical,
-    _scan_range,
-    p_chain,
-    p_degree_weights,
-    phi_chain,
-)
+from cyclopract.arith import chain_sieve, divisors_and_phis, prime_powers, primes_up_to
+from cyclopract.counting import _p_decider, _phi_practical
+from cyclopract.orders import prime_order_keys
+from cyclopract.practicality import merged_degree_weights
+
+
+def p_chain(n, spf, order_values):
+    """Per-n reference for the F_p chain: sort the prime powers of n by
+    k(q) = ord*(p, q) and reject when some k_{j+1} > M_j + 1."""
+    pps = sorted((order_values[q], q**e) for q, e in prime_powers(n, spf))
+    m = 1
+    for k, qe in pps:
+        if k > m + 1:
+            return False
+        m *= qe
+    return True
+
+
+def phi_chain(n, spf):
+    """Per-n reference for the Z chain: primes increasing, reject when
+    q_{j+1} - 1 > M_j + 1."""
+    m = 1
+    for q, e in prime_powers(n, spf):
+        if q > m + 2:
+            return False
+        m *= q**e
+    return True
+
+
+def p_chain_sieve(p, limit, spf_table):
+    """The count path's F_p chain: keys at the primes alone, one sieve."""
+    primes = list(primes_up_to(limit, spf_table))
+    keys = prime_order_keys(p, limit, primes, spf_table)
+    primes.sort(key=keys.__getitem__)
+    return chain_sieve(limit, primes, lambda q: keys[q] - 1), keys
+
+
+def phi_chain_sieve(limit, spf_table):
+    return chain_sieve(limit, primes_up_to(limit, spf_table), lambda q: q - 2)
 
 
 @pytest.mark.parametrize(
@@ -71,25 +103,38 @@ def test_p_count_small_checkpoints(spf10k, order_tables):
 
 
 def test_partition_invariance_small(spf10k, order_tables):
-    table = order_tables(2, 10**4)
-    baseline = None
-    for parts in (1, 2, 3, 4, 7):
-        report = count_p_practical_partitioned(
-            2, 10**4, [100, 5000, 10**4], parts=parts, spf_table=spf10k, order_table=table
-        )
-        if baseline is None:
-            baseline = report
-        else:
-            assert report == baseline
+    # The parts deal the survivor list out; no split may move a count.
+    cps = [100, 5000, 10**4]
+    for kind in (2, 3, None):
+        baseline = None
+        for parts in (1, 2, 3, 4, 7):
+            if kind is None:
+                report = count_phi_practical(10**4, cps, parts=parts, spf_table=spf10k)
+            else:
+                report = count_p_practical_partitioned(
+                    kind, 10**4, cps, parts=parts, spf_table=spf10k,
+                    order_table=order_tables(kind, 10**4),
+                )
+            if baseline is None:
+                baseline = report
+            else:
+                assert report == baseline, (kind, parts)
+        if kind is not None:
+            keys_only = count_p_practical_partitioned(kind, 10**4, cps, parts=3, spf_table=spf10k)
+            assert keys_only == baseline, kind
 
 
 def test_stream_agrees_with_single_shot(spf100k, order_tables):
+    # The count path (chain sieve, then the survivor kernel) against the
+    # divisor-by-divisor oracle, not against the shared kernel.
     table = order_tables(2, 10**5)
+    ok, keys = p_chain_sieve(2, 10**5, spf100k)
+    practical = _p_decider(2, spf100k.spf, keys)
     rng = random.Random(31337)
     for _ in range(10**4):
         n = rng.randint(1, 10**5)
-        streamed = _scan_range(n, n, [10**5], spf100k.spf, table.values)[0]
-        assert bool(streamed) == is_p_practical(n, 2, table).practical, n
+        streamed = bool(ok[n]) and practical(n)
+        assert streamed == coverage_check(degree_multiset(n, 2, table)).practical, n
 
 
 def test_checkpoint_validation(spf10k):
@@ -133,11 +178,10 @@ def test_report_metadata(spf10k, order_tables):
 
 
 def test_phi_stream_agrees_with_single_shot(spf10k):
-    from cyclopract import is_phi_practical
-
+    ok = phi_chain_sieve(2000, spf10k)
     for n in range(1, 2001):
-        streamed = _scan_range(n, n, [10**4], spf10k.spf, None)[0]
-        assert bool(streamed) == is_phi_practical(n).practical, n
+        streamed = bool(ok[n]) and _phi_practical(n, spf10k.spf)
+        assert streamed == coverage_check(phi_degree_multiset(n)).practical, n
 
 
 def unfiltered_greedy(n, spf, order_values):
@@ -157,19 +201,26 @@ def unfiltered_greedy(n, spf, order_values):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, None])
 def test_chain_never_rejects_a_practical_n(spf100k, order_tables, p):
+    # The chain sieve equals the per-n chain for every n <= 10^5, never
+    # rejects an n the unfiltered greedy accepts, and its survivors decide
+    # exactly as that greedy does.
     spf = spf100k.spf
-    ov = None if p is None else order_tables(p, 10**5).values
+    if p is None:
+        ov = None
+        ok = phi_chain_sieve(10**5, spf100k)
+        decide = partial(_phi_practical, spf=spf)
+    else:
+        ov = order_tables(p, 10**5).values
+        ok, keys = p_chain_sieve(p, 10**5, spf100k)
+        decide = _p_decider(p, spf, keys)
+    assert ok[0] == 0
     survivors = 0
     for n in range(1, 10**5 + 1):
         practical = unfiltered_greedy(n, spf, ov)
-        if p is None:
-            passed = phi_chain(n, spf)
-            decided = _phi_practical(n, spf)
-        else:
-            passed = p_chain(n, spf, ov) is not None
-            decided = _p_practical(n, spf, ov)
+        passed = bool(ok[n])
+        assert passed == (phi_chain(n, spf) if p is None else p_chain(n, spf, ov)), n
         assert passed or not practical, n
-        assert decided == practical, n
+        assert (passed and decide(n)) == practical, n
         survivors += passed
     # The chain leaves under a fifth of n to the greedy (10.6k to 17.9k here).
     assert survivors < 2 * 10**4
@@ -180,9 +231,12 @@ def test_merged_degree_weights_match_degree_multiset(spf100k, order_tables, p):
     spf = spf100k.spf
     table = order_tables(p, 2 * 10**4)
     ov = table.values
+
+    def orders(q, e):
+        return [ov[q**a] for a in range(1, e + 1)]
+
     for n in range(1, 2 * 10**4 + 1):
-        pps = [(ov[q], q, q**e) for q, e in prime_powers(n, spf)]
-        weights = p_degree_weights(pps, ov)
+        weights = merged_degree_weights(prime_powers(n, spf), orders)
         assert all(w % deg == 0 for deg, w in weights.items()), n
         merged = {deg: w // deg for deg, w in weights.items()}
         assert merged == degree_multiset(n, p, table).degree_counts(), n

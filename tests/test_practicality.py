@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -16,6 +17,10 @@ from cyclopract import (
     poly_factor_degrees_oracle,
     verify_witness,
 )
+from cyclopract import practicality
+from cyclopract.practicality import merged_degree_weights
+
+SMOOTH_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def test_degree_multiset_tiny():
@@ -178,3 +183,37 @@ def test_greedy_agrees_with_dp_on_arbitrary_multisets(entries):
         assert verify_witness(ms, verdict.witness_gap)
         assert not verify_witness(ms, verdict.witness_gap + 1)
 
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_is_p_practical_matches_divisor_oracle(order_tables, p):
+    # The prime-power kernel, with orders from trial factoring and lifting
+    # or read off an order table, against mult_order_star divisor by
+    # divisor: verdict and witness both.
+    table = order_tables(p, 2 * 10**4)
+    for n in range(1, 2 * 10**4 + 1):
+        oracle = coverage_check(degree_multiset(n, p))
+        assert is_p_practical(n, p) == oracle == is_p_practical(n, p, table), n
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**64), st.sampled_from([2, 3, 5, 7]))
+def test_is_p_practical_matches_oracle_on_large_n(seed, p):
+    # A log-uniform n <= 10^11, which mostly carries a large prime, and a
+    # 47-smooth n below a log-uniform bound, which carries many divisors.
+    # The oracle computes mult_order_star divisor by divisor.
+    rng = random.Random(seed)
+    log_max = math.log(10**11)
+    smooth, bound = 1, math.exp(rng.uniform(0, log_max))
+    while smooth * (q := rng.choice(SMOOTH_PRIMES)) <= bound:
+        smooth *= q
+    for n in (int(math.exp(rng.uniform(0, log_max))), smooth):
+        assert is_p_practical(n, p) == coverage_check(degree_multiset(n, p)), (n, p)
+
+
+def test_merged_map_capacity_is_enforced(monkeypatch):
+    # Four primes whose orders are distinct primes give 16 distinct degrees.
+    monkeypatch.setattr(practicality, "DEFAULT_DIVISOR_CAP", 8)
+    with pytest.raises(CapacityError):
+        merged_degree_weights([(3, 1), (5, 1), (7, 1), (11, 1)], lambda q, e: [q])
+    assert len(merged_degree_weights([(3, 1), (5, 1), (7, 1)], lambda q, e: [q])) == 8
