@@ -163,11 +163,13 @@ def count_z_dense(limit: int, z, table: SpfTable | None = None) -> int:
 
 def dense_count_bound_ratio(limit: int, z, count: int) -> float:
     """count / (limit * log Z / log limit): diagnostic against the dense-divisor bound."""
+    if limit < 2:
+        raise ValueError(f"limit must be >= 2 for a bound ratio, got {limit}")
     num, den = _ratio_parts(z)
     return count / (limit * log(num / den) / log(limit))
 
 
-def a_q_primes(a: int, q: int, bound: int, table: SpfTable | None = None) -> list[int]:
+def a_q_primes(a: int, q: int, bound: int) -> list[int]:
     """Primes p <= bound with p = 1 (mod q) and a^((p-1)/q) = 1 (mod p)."""
     if a < 2:
         raise ValueError(f"a must be >= 2, got {a}")
@@ -176,14 +178,8 @@ def a_q_primes(a: int, q: int, bound: int, table: SpfTable | None = None) -> lis
     if bound < q:
         raise ValueError(f"bound must be >= q, got {bound}")
     out = []
-    use_table = table is not None and table.limit >= bound
     for p in range(q + 1, bound + 1, q):
-        if use_table:
-            if table.spf[p] != p:
-                continue
-        elif not is_prime(p):
-            continue
-        if pow(a, (p - 1) // q, p) == 1:
+        if is_prime(p) and pow(a, (p - 1) // q, p) == 1:
             out.append(p)
     return out
 
@@ -265,12 +261,10 @@ def omega_phi_distribution(limit: int, table: SpfTable | None = None) -> dict[in
     return dict(Counter(prime_power_sieve(limit, table, omega_phi_prime_power, add, unit=0)[1:]))
 
 
-def omega_phi_excess(limit: int, X: int | None = None, table: SpfTable | None = None) -> int:
-    """#{n <= limit : Omega(phi(n)) >= 110 (log log X)^2}, X defaulting to limit."""
-    if limit < 3:
-        raise ValueError(f"limit must be >= 3, got {limit}")
-    cutoff = omega_phi_threshold(limit if X is None else X)
-    dist = omega_phi_distribution(limit, table)
+def omega_phi_excess(dist: dict[int, int], X: int) -> int:
+    """How many n in an ``omega_phi_distribution`` histogram have
+    Omega(phi(n)) >= 110 (log log X)^2."""
+    cutoff = omega_phi_threshold(X)
     return sum(c for om, c in dist.items() if om >= cutoff)
 
 
@@ -285,6 +279,8 @@ def tau_threshold_count(limit: int, kappa, table: SpfTable | None = None) -> int
 
 def tau_bound_ratio(limit: int, kappa, count: int) -> float:
     """count / ((1/kappa) * limit * log limit): diagnostic against the tau tail bound."""
+    if limit < 2:
+        raise ValueError(f"limit must be >= 2 for a bound ratio, got {limit}")
     return count / (limit * log(limit) / kappa)
 
 

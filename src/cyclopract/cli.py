@@ -19,6 +19,7 @@ from .analysis import (
     dense_count_bound_ratio,
     lambda_order_ratio_stats,
     omega_phi_distribution,
+    omega_phi_excess,
     omega_phi_threshold,
     small_order_count,
     smooth_lambda_part_count,
@@ -243,7 +244,7 @@ def _cmd_orders(args) -> int:
     return 0
 
 
-def _require(args, parser_hint: str, **needed):
+def _require(parser_hint: str, **needed):
     missing = [flag for flag, value in needed.items() if value is None]
     if missing:
         flags = ", ".join(f"--{m}" for m in missing)
@@ -263,7 +264,7 @@ def _stats_payload(args) -> tuple[dict, list[tuple[str, object, object]]]:
 
     if scanner == "zdense":
         z = args.z if args.z is not None else (config.Z if config else None)
-        _require(args, scanner, z=z)
+        _require(scanner, z=z)
         count = count_z_dense(limit, z)
         ratio = dense_count_bound_ratio(limit, z, count)
         result = {"Z": z, "count": count, "bound_ratio": ratio}
@@ -272,12 +273,12 @@ def _stats_payload(args) -> tuple[dict, list[tuple[str, object, object]]]:
             ("zdense_bound_ratio", limit, f"{ratio:.6f}"),
         ]
     elif scanner == "aq":
-        _require(args, scanner, base=args.base, q=args.q)
+        _require(scanner, base=args.base, q=args.q)
         primes = a_q_primes(args.base, args.q, limit)
         result = {"base": args.base, "q": args.q, "primes": primes}
         rows = [("aq_prime", p, mult_order(args.base, p, p - 1)) for p in primes]
     elif scanner == "ratios":
-        _require(args, scanner, base=args.base)
+        _require(scanner, base=args.base)
         spf = build_spf_table(max(limit, 2))
         orders = sieve_order_star(args.base, limit, spf)
         psi = args.psi if args.psi is not None else (config.psi if config else None)
@@ -288,11 +289,11 @@ def _stats_payload(args) -> tuple[dict, list[tuple[str, object, object]]]:
         if psi is not None:
             rows.append(("ratio_exceed_psi", limit, stats.exceed_psi))
     elif scanner == "smallorder":
-        _require(args, scanner, base=args.base)
+        _require(scanner, base=args.base)
         bound = args.bound
         if bound is None and config is not None:
             bound = config.small_order_bound()
-        _require(args, scanner, bound=bound)
+        _require(scanner, bound=bound)
         spf = build_spf_table(max(limit, 2))
         orders = sieve_order_star(args.base, limit, spf)
         count = small_order_count(args.base, limit, bound, orders)
@@ -304,13 +305,13 @@ def _stats_payload(args) -> tuple[dict, list[tuple[str, object, object]]]:
     elif scanner == "omegaphi":
         dist = omega_phi_distribution(limit)
         cutoff = omega_phi_threshold(limit)
-        excess = sum(c for om, c in dist.items() if om >= cutoff)
+        excess = omega_phi_excess(dist, limit)
         result = {"threshold": cutoff, "excess": excess, "distribution": dict(sorted(dist.items()))}
         rows = [("omega_phi", k, v) for k, v in sorted(dist.items())]
         rows.append(("omega_phi_threshold", limit, repr(cutoff)))
         rows.append(("omega_phi_excess", limit, excess))
     elif scanner == "tau":
-        _require(args, scanner, kappa=args.kappa)
+        _require(scanner, kappa=args.kappa)
         count = tau_threshold_count(limit, args.kappa)
         ratio = tau_bound_ratio(limit, args.kappa, count)
         result = {"kappa": args.kappa, "count": count, "bound_ratio": ratio}
@@ -321,7 +322,7 @@ def _stats_payload(args) -> tuple[dict, list[tuple[str, object, object]]]:
     elif scanner == "smoothlambda":
         smooth_bound = args.B if args.B is not None else (config.B if config else None)
         threshold = args.Y if args.Y is not None else (config.Y if config else None)
-        _require(args, scanner, B=smooth_bound, Y=threshold)
+        _require(scanner, B=smooth_bound, Y=threshold)
         count = smooth_lambda_part_count(limit, int(smooth_bound), threshold)
         result = {"B": smooth_bound, "Y": threshold, "count": count}
         rows = [("smooth_lambda_count", limit, count)]

@@ -6,8 +6,8 @@ by a key, k(q) = ord(p mod q) over F_p and q - 1 over Z, a prime whose key
 exceeds one plus the product M of the prime powers before it leaves a gap
 no degree can fill, because every degree below that key comes from a
 divisor of M and those divisors weigh M in all.  Over F_p the keys are
-computed at the primes alone (``orders.prime_order_keys``), or read from
-an order table when the caller passes one; no per-n order table is built.
+computed at the primes alone (``orders.prime_order_keys``); no per-n order
+table is built.
 Then the survivors run the sorted-degree greedy: over F_p on the
 degree -> weight map merged from the prime powers
 (``practicality.merged_degree_weights``, the kernel ``cyclopract test``
@@ -40,7 +40,7 @@ from .arith import (
     prime_powers,
     primes_up_to,
 )
-from .orders import OrderTable, lifted_orders, prime_order_keys
+from .orders import lifted_orders, prime_order_keys
 from .practicality import greedy_gap, merged_degree_weights
 
 DEFAULT_CHECKPOINT_DECADES = tuple(10**k for k in range(2, 8))
@@ -199,10 +199,36 @@ def _run_workers(parts, checkpoints, survivors, practical) -> list[list[int]]:
         _WORKER_STATE.clear()
 
 
-def _build_rows(checkpoints: list[int], totals: list[int]) -> tuple[CountRow, ...]:
-    return tuple(
-        CountRow(X=x, count=c, ratio=ratio_row(x, c)) for x, c in zip(checkpoints, totals)
-    )
+def _count(
+    p: int | None,
+    limit: int,
+    checkpoints: Sequence[int] | None,
+    parts: int,
+    spf_table: SpfTable | None,
+) -> CountReport:
+    """Exact counts at each checkpoint, over F_p or over Z when p is None:
+    one chain sieve to the last checkpoint, then the greedy over its
+    survivors in ``parts`` parts."""
+    if parts < 1:
+        raise ValueError(f"parts must be >= 1, got {parts}")
+    if limit < 2:
+        raise ValueError(f"limit must be >= 2, got {limit}")
+    cps = _resolve_checkpoints(limit, checkpoints)
+    if spf_table is None:
+        spf_table = build_spf_table(limit)
+    top = cps[-1]
+    if p is None:
+        ok = chain_sieve(top, primes_up_to(top, spf_table), lambda q: q - 2)
+        practical = partial(_phi_practical, spf=spf_table.spf)
+    else:
+        primes = list(primes_up_to(top, spf_table))
+        keys = prime_order_keys(p, top, primes, spf_table)
+        primes.sort(key=keys.__getitem__)
+        ok = chain_sieve(top, primes, lambda q: keys[q] - 1)
+        practical = _p_decider(p, spf_table.spf, keys)
+    totals = _count_survivors(ok, cps, practical, parts)
+    rows = tuple(CountRow(X=x, count=c, ratio=ratio_row(x, c)) for x, c in zip(cps, totals))
+    return CountReport(kind="phi" if p is None else "p", base=p, limit=limit, rows=rows)
 
 
 def count_p_practical_partitioned(
@@ -212,36 +238,10 @@ def count_p_practical_partitioned(
     parts: int = 1,
     *,
     spf_table: SpfTable | None = None,
-    order_table: OrderTable | None = None,
 ) -> CountReport:
     """Exact F_p counts at each checkpoint; output does not depend on parts.
-
-    The chain keys are read from ``order_table`` when one is passed, and
-    otherwise computed at the primes alone (``prime_order_keys``).
-    """
-    if parts < 1:
-        raise ValueError(f"parts must be >= 1, got {parts}")
-    if limit < 2:
-        raise ValueError(f"limit must be >= 2, got {limit}")
-    cps = _resolve_checkpoints(limit, checkpoints)
-    if order_table is not None:
-        if order_table.base != p:
-            raise ValueError(f"order table base {order_table.base} does not match p={p}")
-        if order_table.limit < limit:
-            raise ValueError(f"order table limit {order_table.limit} below {limit}")
-    if spf_table is None:
-        spf_table = build_spf_table(limit)
-    top = cps[-1]
-    primes = list(primes_up_to(top, spf_table))
-    if order_table is None:
-        keys = prime_order_keys(p, top, primes, spf_table)
-    else:
-        keys = order_table.values
-    primes.sort(key=keys.__getitem__)
-    ok = chain_sieve(top, primes, lambda q: keys[q] - 1)
-    practical = _p_decider(p, spf_table.spf, keys)
-    totals = _count_survivors(ok, cps, practical, parts)
-    return CountReport(kind="p", base=p, limit=limit, rows=_build_rows(cps, totals))
+    The chain keys are computed at the primes alone (``prime_order_keys``)."""
+    return _count(p, limit, checkpoints, parts, spf_table)
 
 
 def count_phi_practical(
@@ -252,17 +252,7 @@ def count_phi_practical(
     spf_table: SpfTable | None = None,
 ) -> CountReport:
     """Exact phi-practical counts at each checkpoint; no order table needed."""
-    if parts < 1:
-        raise ValueError(f"parts must be >= 1, got {parts}")
-    if limit < 2:
-        raise ValueError(f"limit must be >= 2, got {limit}")
-    cps = _resolve_checkpoints(limit, checkpoints)
-    if spf_table is None:
-        spf_table = build_spf_table(limit)
-    top = cps[-1]
-    ok = chain_sieve(top, primes_up_to(top, spf_table), lambda q: q - 2)
-    totals = _count_survivors(ok, cps, partial(_phi_practical, spf=spf_table.spf), parts)
-    return CountReport(kind="phi", base=None, limit=limit, rows=_build_rows(cps, totals))
+    return _count(None, limit, checkpoints, parts, spf_table)
 
 
 def render_csv(report: CountReport) -> str:

@@ -34,11 +34,6 @@ class OrderTable:
     limit: int
     values: array
 
-    def order_star(self, d: int) -> int:
-        if not 1 <= d <= self.limit:
-            raise ValueError(f"d={d} outside table range 1..{self.limit}")
-        return self.values[d]
-
 
 def coprime_part(n: int, a: int) -> int:
     """Largest divisor of n coprime to a."""

@@ -12,23 +12,21 @@ d, so a decision needs only ord(p mod q) at the primes q of n, lifted to
 q^e.  ``merged_degree_weights`` builds the degree -> weight map from those
 prime powers, and ``greedy_gap`` runs the greedy over it; ``is_p_practical``
 and the count survivors share both.  ``degree_multiset`` (one
-``mult_order_star`` per divisor) with ``coverage_check``, a dense
-subset-sum oracle and a direct polynomial-factorization oracle stay as
-independent checks.
+``mult_order_star`` per divisor, or one entry of an order-star table) with
+``coverage_check``, a dense subset-sum oracle and a direct
+polynomial-factorization oracle stay as independent checks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence
 
 from .arith import DEFAULT_DIVISOR_CAP, divisor_phi_pairs, factorize_trial, is_prime
 from .errors import CapacityError
 from .gfpoly import distinct_degree_counts
 from .orders import OrderTable, lifted_orders, mult_order, mult_order_star
-
-OrderSource = Union[OrderTable, Callable[[int], int], None]
 
 
 @dataclass(frozen=True)
@@ -54,27 +52,23 @@ class PracticalVerdict:
     witness_gap: int | None = None
 
 
-def _order_lookup(p: int, source: OrderSource) -> Callable[[int], int]:
-    if source is None:
-        return lambda d: mult_order_star(p, d)
-    if isinstance(source, OrderTable):
-        if source.base != p:
-            raise ValueError(f"order table was built for base {source.base}, not {p}")
-        return source.values.__getitem__
-    return source
-
-
-def degree_multiset(n: int, p: int, order_source: OrderSource = None) -> DegreeMultiset:
+def degree_multiset(n: int, p: int, order_table: OrderTable | None = None) -> DegreeMultiset:
     """Degrees of the irreducible factors of x^n - 1 over F_p, by divisor.
 
     Each divisor d contributes (order_star(p, d), phi(d)/order_star(p, d));
-    the weighted sum over all entries is n.
+    the weighted sum over all entries is n.  The orders are read from
+    ``order_table`` when one is passed, else ``mult_order_star`` per divisor.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
-    lookup = _order_lookup(p, order_source)
+    if order_table is None:
+        lookup = lambda d: mult_order_star(p, d)
+    elif order_table.base != p:
+        raise ValueError(f"order table was built for base {order_table.base}, not {p}")
+    else:
+        lookup = order_table.values.__getitem__
     entries = []
     for d, phi_d in divisor_phi_pairs(factorize_trial(n)):
         deg = lookup(d)
@@ -201,33 +195,24 @@ def greedy_gap(weights: dict[int, int]) -> int | None:
     return None
 
 
-def _prime_power_orders(p: int, source: OrderSource) -> Callable[[int, int], list[int]]:
-    if source is not None:
-        lookup = _order_lookup(p, source)
-        return lambda q, e: [lookup(q**a) for a in range(1, e + 1)]
+def is_p_practical(n: int, p: int) -> PracticalVerdict:
+    """Does x^n - 1 have a divisor of every degree 1..n over F_p?
+
+    Factors n once by ``factorize_trial``, takes ord(p mod q) once per
+    prime q of n, lifts it to q^e, and runs the greedy over
+    ``merged_degree_weights``.  ``coverage_check`` over ``degree_multiset``
+    is the independent oracle for the same verdict and witness.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not is_prime(p):
+        raise ValueError(f"p={p} is not prime")
 
     def orders(q: int, e: int) -> list[int]:
         if q == p:
             return [1] * e
         return lifted_orders(p, q, e, mult_order(p, q, q - 1))
 
-    return orders
-
-
-def is_p_practical(n: int, p: int, order_source: OrderSource = None) -> PracticalVerdict:
-    """Does x^n - 1 have a divisor of every degree 1..n over F_p?
-
-    Factors n once and takes ord(p mod q) once per prime q of n (or reads
-    an order source at the prime powers), lifts it to q^e, and runs the
-    greedy over ``merged_degree_weights``.  ``coverage_check`` over
-    ``degree_multiset`` is the independent oracle for the same verdict
-    and witness.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not is_prime(p):
-        raise ValueError(f"p={p} is not prime")
-    orders = _prime_power_orders(p, order_source)
     gap = greedy_gap(merged_degree_weights(factorize_trial(n).factors, orders))
     return PracticalVerdict(practical=gap is None, witness_gap=gap)
 

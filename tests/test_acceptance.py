@@ -24,7 +24,6 @@ from cyclopract import (
     poly_factor_degrees_oracle,
     render_csv,
     render_json,
-    sieve_order_star,
     verify_witness,
 )
 from cyclopract.cli import main as cli_main
@@ -61,18 +60,15 @@ def spf10m():
 
 @pytest.fixture(scope="module")
 def reports_1e7(spf10m):
-    """Partitioned counts to 10^7 for p in {2, 3, 5}; shared by criteria 2-3."""
+    """Partitioned counts to 10^7 for p in {2, 3, 5}, with the chain keys
+    from ``prime_order_keys`` as in ``cyclopract count``; shared by criteria 2-3."""
     reports = {}
     for p in (2, 3, 5):
         t0 = time.time()
-        orders = sieve_order_star(p, 10**7, spf10m)
-        t1 = time.time()
         reports[p] = count_p_practical_partitioned(
-            p, 10**7, DECADES_TO_7, parts=8, spf_table=spf10m, order_table=orders
+            p, 10**7, DECADES_TO_7, parts=8, spf_table=spf10m
         )
-        print(
-            f"  p={p}: order sieve {t1 - t0:.0f}s, partitioned count {time.time() - t1:.0f}s"
-        )
+        print(f"  p={p}: partitioned count {time.time() - t0:.0f}s")
     return reports
 
 
@@ -140,14 +136,13 @@ def test_criterion_4_oracle_equivalence(spf100k, order_tables):
         assert mismatches == 0
 
 
-def test_criterion_5_phi_implies_p(order_tables):
+def test_criterion_5_phi_implies_p():
     with criterion(5, "phi-practical implies p-practical to 10^4"):
-        tables = {p: order_tables(p, 10**4) for p in (2, 3, 5, 7, 11)}
         violations = 0
         for n in range(1, 10**4 + 1):
             if is_phi_practical(n).practical:
-                for p, table in tables.items():
-                    if not is_p_practical(n, p, table).practical:
+                for p in (2, 3, 5, 7, 11):
+                    if not is_p_practical(n, p).practical:
                         violations += 1
         assert violations == 0
 
@@ -194,9 +189,8 @@ def test_criterion_7_witness_soundness(order_tables):
         assert violations == 0
 
 
-def test_criterion_8_partition_invariance(spf100k, order_tables):
+def test_criterion_8_partition_invariance(spf100k):
     with criterion(8, "byte-identical reports across parts 1/2/4/8 at 10^5"):
-        table = order_tables(2, 10**5)
         renders = set()
         reports = []
         for parts in (1, 2, 4, 8):
@@ -206,7 +200,6 @@ def test_criterion_8_partition_invariance(spf100k, order_tables):
                 [100, 1000, 10**4, 10**5],
                 parts=parts,
                 spf_table=spf100k,
-                order_table=table,
             )
             reports.append(report)
             renders.add((render_csv(report), render_json(report)))

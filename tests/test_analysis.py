@@ -209,7 +209,9 @@ def test_small_order_count_exhaustive(order_tables):
 
 
 def test_omega_phi_threshold_and_excess(spf10k):
-    assert omega_phi_excess(10**4, table=spf10k) == 0
+    assert omega_phi_excess(omega_phi_distribution(10**4, spf10k), 10**4) == 0
+    # The cutoff at X = 10^4 lies between 542 and 543.
+    assert omega_phi_excess({0: 5, 542: 2, 543: 3, 700: 1}, 10**4) == 4
     assert omega_phi_threshold(10**4) > 500
 
 
@@ -262,7 +264,8 @@ def test_counters_monotone_in_limit(spf10k, order_tables):
             large, 3, 4, spf10k
         )
         assert small_order_count(2, small, 8, table) <= small_order_count(2, large, 8, table)
-        assert omega_phi_excess(small, table=spf10k) <= omega_phi_excess(large, table=spf10k)
+        excess = [omega_phi_excess(omega_phi_distribution(x, spf10k), x) for x in (small, large)]
+        assert excess[0] <= excess[1]
 
 
 def test_analysis_config_derivation():

@@ -257,6 +257,22 @@ def test_checkpoint_above_limit_exits_1(capsys):
     assert "exceeds limit" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stats", "zdense", "--limit", "1", "--z", "2"],
+        ["stats", "tau", "--limit", "1", "--kappa", "1"],
+    ],
+)
+def test_bound_ratio_below_limit_2_exits_1(capsys, argv):
+    # Both bound ratios divide by log(limit), which is 0 at limit 1.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_count_arg_parse_is_exact(capsys):
     code, out, _ = run_cli(capsys, "test", "1e23", "--phi")
     assert code == 0

@@ -85,24 +85,20 @@ def test_phi_counts_nondecreasing(spf10k):
     assert counts == sorted(counts)
 
 
-def test_phi_counts_bounded_by_p_counts(spf10k, order_tables):
+def test_phi_counts_bounded_by_p_counts(spf10k):
     cps = [100, 1000, 10**4]
     phi_counts = count_phi_practical(10**4, cps, spf_table=spf10k).counts()
     for p in (2, 3, 5):
-        p_counts = count_p_practical_partitioned(
-            p, 10**4, cps, spf_table=spf10k, order_table=order_tables(p, 10**4)
-        ).counts()
+        p_counts = count_p_practical_partitioned(p, 10**4, cps, spf_table=spf10k).counts()
         assert all(fc <= pc for fc, pc in zip(phi_counts, p_counts))
 
 
-def test_p_count_small_checkpoints(spf10k, order_tables):
-    report = count_p_practical_partitioned(
-        2, 10**4, [100, 1000, 10**4], spf_table=spf10k, order_table=order_tables(2, 10**4)
-    )
+def test_p_count_small_checkpoints(spf10k):
+    report = count_p_practical_partitioned(2, 10**4, [100, 1000, 10**4], spf_table=spf10k)
     assert report.counts() == [34, 243, 1790]
 
 
-def test_partition_invariance_small(spf10k, order_tables):
+def test_partition_invariance_small(spf10k):
     # The parts deal the survivor list out; no split may move a count.
     cps = [100, 5000, 10**4]
     for kind in (2, 3, None):
@@ -112,16 +108,16 @@ def test_partition_invariance_small(spf10k, order_tables):
                 report = count_phi_practical(10**4, cps, parts=parts, spf_table=spf10k)
             else:
                 report = count_p_practical_partitioned(
-                    kind, 10**4, cps, parts=parts, spf_table=spf10k,
-                    order_table=order_tables(kind, 10**4),
+                    kind, 10**4, cps, parts=parts, spf_table=spf10k
                 )
             if baseline is None:
                 baseline = report
             else:
                 assert report == baseline, (kind, parts)
         if kind is not None:
-            keys_only = count_p_practical_partitioned(kind, 10**4, cps, parts=3, spf_table=spf10k)
-            assert keys_only == baseline, kind
+            # As the CLI calls it: the count builds its own SPF table.
+            own_table = count_p_practical_partitioned(kind, 10**4, cps, parts=3)
+            assert own_table == baseline, kind
 
 
 def test_stream_agrees_with_single_shot(spf100k, order_tables):
@@ -153,10 +149,8 @@ def test_default_checkpoints_are_decades(spf10k):
     assert [row.X for row in report.rows] == [100, 1000, 10**4]
 
 
-def test_renderers_are_deterministic(spf10k, order_tables):
-    report = count_p_practical_partitioned(
-        2, 1000, [100, 1000], spf_table=spf10k, order_table=order_tables(2, 1000)
-    )
+def test_renderers_are_deterministic(spf10k):
+    report = count_p_practical_partitioned(2, 1000, [100, 1000], spf_table=spf10k)
     csv_text = render_csv(report)
     assert csv_text == "X,count,ratio\n100,34,1.565758\n1000,243,1.678585\n"
     assert render_csv(report) == csv_text
@@ -166,10 +160,8 @@ def test_renderers_are_deterministic(spf10k, order_tables):
     assert "F_2(X)" in text and "1.565758" in text
 
 
-def test_report_metadata(spf10k, order_tables):
-    rep_p = count_p_practical_partitioned(
-        3, 1000, [1000], spf_table=spf10k, order_table=order_tables(3, 1000)
-    )
+def test_report_metadata(spf10k):
+    rep_p = count_p_practical_partitioned(3, 1000, [1000], spf_table=spf10k)
     assert (rep_p.kind, rep_p.base, rep_p.label()) == ("p", 3, "3")
     rep_phi = count_phi_practical(1000, [1000], spf_table=spf10k)
     assert (rep_phi.kind, rep_phi.base, rep_phi.label()) == ("phi", None, "phi")

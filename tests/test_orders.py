@@ -11,6 +11,8 @@ from cyclopract import (
     prime_power_order,
     sieve_order_star,
 )
+from cyclopract.arith import primes_up_to
+from cyclopract.orders import prime_order_keys
 
 
 def naive_order(a, n):
@@ -128,6 +130,27 @@ def test_order_star_divides_lambda_of_coprime_part(a, spf10k, order_tables):
     lam = lambda_star_table(10**4, spf10k, skip_base=a)
     for n in range(1, 10**4 + 1):
         assert lam[n] % values[n] == 0
+
+
+@pytest.mark.parametrize("a", [2, 3, 5, 7])
+@pytest.mark.parametrize("limit", [10, 64, 1000, 10**5])
+def test_prime_order_keys_contract(a, limit, spf100k, order_tables):
+    # At a prime q the key is ord*(a, q) whenever that order is at most
+    # limit // q + 1, the largest key a chain can pass with a cofactor at
+    # most limit // q, and some value above that bound otherwise; 0 off
+    # the primes.
+    primes = list(primes_up_to(limit, spf100k))
+    keys = prime_order_keys(a, limit, primes, spf100k)
+    orders = order_tables(a, limit).values
+    assert len(keys) == limit + 1
+    primes = set(primes)
+    for n in range(limit + 1):
+        if n not in primes:
+            assert keys[n] == 0, n
+        elif orders[n] <= limit // n + 1:
+            assert keys[n] == orders[n], n
+        else:
+            assert keys[n] > limit // n + 1, n
 
 
 def test_sieve_validates_inputs(spf10k):

@@ -87,22 +87,20 @@ def test_n_equals_one_is_practical():
     assert is_phi_practical(1).practical
 
 
-def test_smallest_p_practical_that_is_not_phi_practical(order_tables):
-    table = order_tables(2, 100)
+def test_smallest_p_practical_that_is_not_phi_practical():
     found = None
     for n in range(1, 101):
-        if is_p_practical(n, 2, table).practical and not is_phi_practical(n).practical:
+        if is_p_practical(n, 2).practical and not is_phi_practical(n).practical:
             found = n
             break
     assert found == 14
 
 
-def test_phi_implies_p_small(order_tables):
-    tables = {p: order_tables(p, 2000) for p in (2, 3, 5, 7, 11)}
+def test_phi_implies_p_small():
     for n in range(1, 2001):
         if is_phi_practical(n).practical:
-            for p, table in tables.items():
-                assert is_p_practical(n, p, table).practical, (n, p)
+            for p in (2, 3, 5, 7, 11):
+                assert is_p_practical(n, p).practical, (n, p)
 
 
 def test_dp_oracle_examples(order_tables):
@@ -186,14 +184,11 @@ def test_greedy_agrees_with_dp_on_arbitrary_multisets(entries):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_is_p_practical_matches_divisor_oracle(order_tables, p):
-    # The prime-power kernel, with orders from trial factoring and lifting
-    # or read off an order table, against mult_order_star divisor by
-    # divisor: verdict and witness both.
-    table = order_tables(p, 2 * 10**4)
+def test_is_p_practical_matches_divisor_oracle(p):
+    # The prime-power kernel, with orders from trial factoring and lifting,
+    # against mult_order_star divisor by divisor: verdict and witness both.
     for n in range(1, 2 * 10**4 + 1):
-        oracle = coverage_check(degree_multiset(n, p))
-        assert is_p_practical(n, p) == oracle == is_p_practical(n, p, table), n
+        assert is_p_practical(n, p) == coverage_check(degree_multiset(n, p)), n
 
 
 @settings(max_examples=150, deadline=None)
