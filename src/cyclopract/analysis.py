@@ -170,18 +170,19 @@ def dense_count_bound_ratio(limit: int, z, count: int) -> float:
 
 
 def a_q_primes(a: int, q: int, bound: int) -> list[int]:
-    """Primes p <= bound with p = 1 (mod q) and a^((p-1)/q) = 1 (mod p)."""
+    """Primes p <= bound with p = 1 (mod q) and a^((p-1)/q) = 1 (mod p),
+    read off the primes of one SPF table to bound."""
     if a < 2:
         raise ValueError(f"a must be >= 2, got {a}")
     if q < 3 or q % 2 == 0 or not is_prime(q):
         raise ValueError(f"q must be an odd prime, got {q}")
     if bound < q:
         raise ValueError(f"bound must be >= q, got {bound}")
-    out = []
-    for p in range(q + 1, bound + 1, q):
-        if is_prime(p) and pow(a, (p - 1) // q, p) == 1:
-            out.append(p)
-    return out
+    return [
+        p
+        for p in primes_up_to(bound, build_spf_table(bound))
+        if p % q == 1 and pow(a, (p - 1) // q, p) == 1
+    ]
 
 
 def lambda_star_table(limit: int, table: SpfTable, skip_base: int | None = None) -> array:

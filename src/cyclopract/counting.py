@@ -8,7 +8,9 @@ no degree can fill, because every degree below that key comes from a
 divisor of M and those divisors weigh M in all.  Over F_p the keys are
 computed at the primes alone (``orders.prime_order_keys``); no per-n order
 table is built.
-Then the survivors run the sorted-degree greedy: over F_p on the
+Then each survivor is settled from its cofactor where a lemma allows
+(``_decider``, which memoizes verdicts in the chain sieve's bytearray), and
+runs the sorted-degree greedy only where it does not: over F_p on the
 degree -> weight map merged from the prime powers
 (``practicality.merged_degree_weights``, the kernel ``cyclopract test``
 also uses), over Z on the sorted totients of the divisors.
@@ -108,11 +110,10 @@ def _phi_practical(n: int, spf: array) -> bool:
     return True
 
 
-def _p_decider(p: int, spf: array, keys: array) -> Callable[[int], bool]:
-    """The F_p verdict for an n that passed the chain: the greedy over
-    ``merged_degree_weights``, with orders lifted from the chain keys.
-    Every prime of such an n has an exact key, and only the few q^e with
-    e >= 2 are lifted, once each."""
+def _p_orders(p: int, keys: array) -> Callable[[int, int], Sequence[int]]:
+    """orders(q, e): the orders of p modulo q, q^2, ..., q^e (all 1 when
+    q = p), lifted from the chain key of q.  Every prime of a chain survivor
+    has an exact key, and each q^e with e >= 2 is lifted once."""
     lifted: dict[int, list[int]] = {}
 
     def orders(q: int, e: int) -> Sequence[int]:
@@ -124,7 +125,109 @@ def _p_decider(p: int, spf: array, keys: array) -> Callable[[int], bool]:
             got = lifted[qe] = [1] * e if q == p else lifted_orders(p, q, e, keys[q])
         return got
 
+    return orders
+
+
+def _p_decider(p: int, spf: array, keys: array) -> Callable[[int], bool]:
+    """The F_p verdict for an n that passed the chain: the greedy over
+    ``merged_degree_weights``, with orders lifted from the chain keys."""
+    orders = _p_orders(p, keys)
     return lambda n: greedy_gap(merged_degree_weights(prime_powers(n, spf), orders)) is None
+
+
+def _chain(
+    p: int | None, top: int, spf_table: SpfTable
+) -> tuple[bytearray, Sequence[int], Callable[[int, int], int], Callable[[int], bool]]:
+    """The chain sieve to top over F_p (over Z when p is None), with what
+    ``_decider`` settles its survivors by: the chain key of each prime
+    (ord(p mod q) over F_p, q itself over Z, which orders the primes as
+    q - 1 does), kappa(q, e) = ord*(p, q^e) over F_p and phi(q^e) over Z,
+    and the plain greedy."""
+    spf = spf_table.spf
+    if p is None:
+        ok = chain_sieve(top, primes_up_to(top, spf_table), lambda q: q - 2)
+        phi = lambda q, e: (q - 1) * q ** (e - 1)
+        return ok, range(top + 1), phi, partial(_phi_practical, spf=spf)
+    primes = list(primes_up_to(top, spf_table))
+    keys = prime_order_keys(p, top, primes, spf_table)
+    primes.sort(key=keys.__getitem__)
+    ok = chain_sieve(top, primes, lambda q: keys[q] - 1)
+    lift = _p_orders(p, keys)
+    return ok, keys, lambda q, e: lift(q, e)[-1], _p_decider(p, spf, keys)
+
+
+def _decider(
+    ok: bytearray,
+    spf: array,
+    keys: Sequence[int],
+    kappa: Callable[[int, int], int],
+    greedy: Callable[[int], bool],
+) -> Callable[[int], bool]:
+    """The verdict on a chain survivor n, memoized in the chain sieve's own
+    bytearray: ok[n] is 0 for no, 1 for a survivor not yet decided and 2
+    for yes.  Read the survivor list before the first call.
+
+    Split n = m * q^e with q the prime of n last in the chain's key order
+    (largest key, ties to the larger prime).  Accept n when
+    kappa(q, e) <= m + 1 and m is practical, deciding an undecided m first
+    (the recursion is at most omega(n) deep); otherwise run ``greedy``.
+    For e = 1 the inequality is the chain link of q, which every survivor
+    holds; only e >= 2 needs kappa.  m is a survivor itself, because the
+    chain sieve set ok[n] = ok[m].
+
+    Lemma.  Let n = m * q^e with q prime, q not dividing m, and
+    kappa = delta(q^e), where delta(d) is ord*(p, d) over F_p (1 when
+    q = p) and phi(d) over Z.  If m is practical and kappa <= m + 1, then
+    n is practical.
+
+    Proof sketch, on the merged degree -> weight map W (the divisors d of
+    n grouped by delta(d), weighted by phi(d)); n is practical exactly when
+    W_n(<D) >= D - 1 for every degree D of W_n.
+    - Fact A: if W_m is complete with total m, then
+      W_m(<t) >= min(t - 1, m) for every t >= 1 (take the least degree
+      at or above t, or none).
+    - The divisors d | m give W_m inside W_n, so W_n(<D) >= W_m(<D).
+    - Case D <= m + 1: W_n(<D) >= W_m(<D) >= D - 1 by Fact A.
+    - Case D > m + 1: every delta(d) with d | m is at most m, so
+      D = delta(d * q^a) with a >= 1, and kappa_a = delta(q^a) <= D <=
+      delta(d) * kappa_a (an lcm over F_p, a product over Z).  Put
+      t = ceil(D / kappa_a).  Every d' | m with delta(d') <= t - 1 has
+      delta(d' * q^a') <= delta(d') * kappa_a < D for all a' <= a, since
+      kappa_a' <= kappa_a.  Those divisors, with phi(q^a') summing to
+      q^a - 1 over a' = 1..a, and all of m give
+      W_n(<D) >= m + (q^a - 1) * min(t - 1, m).
+    - That is >= D - 1.  If t - 1 <= m it is >= m + kappa_a * (t - 1),
+      as q^a - 1 >= phi(q^a) >= kappa_a, and that is
+      >= m + D - kappa_a >= D - 1, as kappa_a <= kappa <= m + 1.
+      Otherwise it is m * q^a > D, as D <= phi(d) * phi(q^a) <= m * (q^a - 1).
+    ``greedy`` is exact, so the verdicts equal the plain greedy's for any
+    order of calls, and each fork worker of ``--parts`` decides the m it
+    needs in its own copy-on-write ok.
+    """
+
+    def practical(n: int) -> bool:
+        state = ok[n]
+        if state != 1:
+            return state == 2
+        top = q = e = 0
+        r = n
+        while r > 1:
+            s = spf[r]
+            r //= s
+            k = 1
+            while spf[r] == s:
+                r //= s
+                k += 1
+            if keys[s] >= top:
+                top, q, e = keys[s], s, k
+        m = n // q**e if q else 0  # n = 1 has no prime and goes to the greedy
+        verdict = (
+            m > 0 and (e == 1 or kappa(q, e) <= m + 1) and practical(m)
+        ) or greedy(n)
+        ok[n] = 2 if verdict else 0
+        return verdict
+
+    return practical
 
 
 def _count_part(
@@ -174,9 +277,11 @@ def _count_survivors(
     parts: int,
 ) -> list[int]:
     """Per-checkpoint counts of the n the chain passed (ok[n] set) that
-    ``practical`` accepts.  Part i takes every parts-th survivor from the
-    i-th, so the parts carry even loads although larger n cost more; they
-    run in a fork pool when there is more than one, and their counts add."""
+    ``practical`` accepts.  The survivor list is read before ``practical``
+    first runs, since ``_decider`` writes its verdicts into ok.  Part i
+    takes every parts-th survivor from the i-th, so the parts carry even
+    loads although larger n cost more; they run in a fork pool when there
+    is more than one, and their counts add."""
     survivors = array("I", compress(range(len(ok)), ok))
     parts = min(parts, len(survivors))
     if parts > 1 and "fork" in multiprocessing.get_all_start_methods():
@@ -207,8 +312,8 @@ def _count(
     spf_table: SpfTable | None,
 ) -> CountReport:
     """Exact counts at each checkpoint, over F_p or over Z when p is None:
-    one chain sieve to the last checkpoint, then the greedy over its
-    survivors in ``parts`` parts."""
+    one chain sieve to the last checkpoint, then its survivors, settled by
+    ``_decider`` in ``parts`` parts."""
     if parts < 1:
         raise ValueError(f"parts must be >= 1, got {parts}")
     if limit < 2:
@@ -216,16 +321,8 @@ def _count(
     cps = _resolve_checkpoints(limit, checkpoints)
     if spf_table is None:
         spf_table = build_spf_table(limit)
-    top = cps[-1]
-    if p is None:
-        ok = chain_sieve(top, primes_up_to(top, spf_table), lambda q: q - 2)
-        practical = partial(_phi_practical, spf=spf_table.spf)
-    else:
-        primes = list(primes_up_to(top, spf_table))
-        keys = prime_order_keys(p, top, primes, spf_table)
-        primes.sort(key=keys.__getitem__)
-        ok = chain_sieve(top, primes, lambda q: keys[q] - 1)
-        practical = _p_decider(p, spf_table.spf, keys)
+    ok, keys, kappa, greedy = _chain(p, cps[-1], spf_table)
+    practical = _decider(ok, spf_table.spf, keys, kappa, greedy)
     totals = _count_survivors(ok, cps, practical, parts)
     rows = tuple(CountRow(X=x, count=c, ratio=ratio_row(x, c)) for x, c in zip(cps, totals))
     return CountReport(kind="phi" if p is None else "p", base=p, limit=limit, rows=rows)

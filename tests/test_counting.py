@@ -1,5 +1,6 @@
 import random
 from functools import partial
+from itertools import compress
 
 import pytest
 
@@ -8,15 +9,15 @@ from cyclopract import (
     count_phi_practical,
     coverage_check,
     degree_multiset,
+    mult_order_star,
     phi_degree_multiset,
     ratio_row,
     render_csv,
     render_json,
     render_text,
 )
-from cyclopract.arith import chain_sieve, divisors_and_phis, prime_powers, primes_up_to
-from cyclopract.counting import _p_decider, _phi_practical
-from cyclopract.orders import prime_order_keys
+from cyclopract.arith import divisors_and_phis, prime_powers, primes_up_to
+from cyclopract.counting import _chain, _decider, _p_decider, _phi_practical
 from cyclopract.practicality import merged_degree_weights
 
 
@@ -45,14 +46,12 @@ def phi_chain(n, spf):
 
 def p_chain_sieve(p, limit, spf_table):
     """The count path's F_p chain: keys at the primes alone, one sieve."""
-    primes = list(primes_up_to(limit, spf_table))
-    keys = prime_order_keys(p, limit, primes, spf_table)
-    primes.sort(key=keys.__getitem__)
-    return chain_sieve(limit, primes, lambda q: keys[q] - 1), keys
+    ok, keys, _, _ = _chain(p, limit, spf_table)
+    return ok, keys
 
 
 def phi_chain_sieve(limit, spf_table):
-    return chain_sieve(limit, primes_up_to(limit, spf_table), lambda q: q - 2)
+    return _chain(None, limit, spf_table)[0]
 
 
 @pytest.mark.parametrize(
@@ -232,3 +231,71 @@ def test_merged_degree_weights_match_degree_multiset(spf100k, order_tables, p):
         assert all(w % deg == 0 for deg, w in weights.items()), n
         merged = {deg: w // deg for deg, w in weights.items()}
         assert merged == degree_multiset(n, p, table).degree_counts(), n
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, None])
+def test_memoized_decider_matches_plain_greedy(spf100k, p):
+    # Every chain survivor n <= 10^5 gets the plain greedy's verdict from the
+    # cofactor lemma memoized in the chain bytearray, whichever part decides
+    # n and whichever cofactors that part has to settle first.
+    limit = 10**5
+    ok, keys, kappa, greedy = _chain(p, limit, spf100k)
+    survivors = list(compress(range(limit + 1), ok))
+    plain = {n: greedy(n) for n in survivors}
+    calls = 0
+
+    def counted(n):
+        nonlocal calls
+        calls += 1
+        return greedy(n)
+
+    for parts in (1, 3):
+        calls = 0
+        for part in range(parts):
+            decide = _decider(bytearray(ok), spf100k.spf, keys, kappa, counted)
+            for n in survivors[part::parts]:
+                assert decide(n) == plain[n], (p, parts, n)
+        if parts == 1:
+            # The lemma settles most survivors: the greedy runs on 4% to 18%
+            # of them here, and on about 75% with the smallest-key prime.
+            assert calls < len(survivors) // 4, calls
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, None])
+def test_cofactor_lemma_against_oracle(order_tables, spf100k, p):
+    # The lemma of counting._decider on the divisor-by-divisor oracle: for
+    # m practical, q a prime not dividing m and kappa = delta(q^e) <= m + 1,
+    # n = m * q^e is practical.  At e = 1 the bound is sharp: kappa = m + 2
+    # leaves m + 1 unreachable.
+    limit = 2 * 10**4
+    if p is None:
+        verdict = lambda n: coverage_check(phi_degree_multiset(n)).practical
+        delta = lambda qe, q: qe // q * (q - 1)
+    else:
+        table = order_tables(p, limit)
+        verdict = lambda n: coverage_check(degree_multiset(n, p, table)).practical
+        delta = lambda qe, q: mult_order_star(p, qe)
+    primes = list(primes_up_to(limit, spf100k))
+    kappas = {}
+    cases = lifted = sharp = 0
+    for m in range(1, 2001):
+        if not verdict(m):
+            continue
+        for q in primes:
+            if m * q > limit:
+                break
+            if m % q == 0:
+                continue
+            qe = q
+            while m * qe <= limit:
+                if qe not in kappas:
+                    kappas[qe] = delta(qe, q)
+                if kappas[qe] <= m + 1:
+                    assert verdict(m * qe), (p, m, qe)
+                    cases += 1
+                    lifted += qe != q
+                elif kappas[qe] == m + 2 and qe == q:
+                    assert not verdict(m * qe), (p, m, qe)
+                    sharp += 1
+                qe *= q
+    assert cases > 2000 and lifted > 100 and sharp > 0, (cases, lifted, sharp)
