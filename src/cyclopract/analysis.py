@@ -28,7 +28,7 @@ from .arith import (
     prime_powers,
     primes_up_to,
 )
-from .orders import OrderTable
+from .orders import OrderTable, _prime_order_sieved
 
 THETA_MIN = 0.1
 THETA_MAX = 0.9
@@ -169,18 +169,20 @@ def dense_count_bound_ratio(limit: int, z, count: int) -> float:
     return count / (limit * log(num / den) / log(limit))
 
 
-def a_q_primes(a: int, q: int, bound: int) -> list[int]:
-    """Primes p <= bound with p = 1 (mod q) and a^((p-1)/q) = 1 (mod p),
-    read off the primes of one SPF table to bound."""
+def a_q_primes(a: int, q: int, bound: int) -> list[tuple[int, int]]:
+    """(p, ord(a mod p)) for the primes p <= bound with p = 1 (mod q) and
+    a^((p-1)/q) = 1 (mod p), read off the primes of one SPF table to bound,
+    which also factors each p - 1 for its order."""
     if a < 2:
         raise ValueError(f"a must be >= 2, got {a}")
     if q < 3 or q % 2 == 0 or not is_prime(q):
         raise ValueError(f"q must be an odd prime, got {q}")
     if bound < q:
         raise ValueError(f"bound must be >= q, got {bound}")
+    table = build_spf_table(bound)
     return [
-        p
-        for p in primes_up_to(bound, build_spf_table(bound))
+        (p, _prime_order_sieved(a, p, table.spf))
+        for p in primes_up_to(bound, table)
         if p % q == 1 and pow(a, (p - 1) // q, p) == 1
     ]
 
@@ -188,10 +190,14 @@ def a_q_primes(a: int, q: int, bound: int) -> list[int]:
 def lambda_star_table(limit: int, table: SpfTable, skip_base: int | None = None) -> array:
     """lambda of the largest divisor of n coprime to skip_base, for n <= limit.
 
-    skip_base None computes plain lambda(n): ``prime_power_sieve`` with lcm
-    over the lambda(q^e) of the prime powers of n.
+    ``prime_power_sieve`` with lcm over the lambda(q^e) of the prime powers
+    of n, 1 where q divides skip_base; skip_base None gives plain lambda(n).
     """
-    return prime_power_sieve(limit, table, lambda_prime_power, lcm, skip_base=skip_base)
+
+    def lambda_coprime(q: int, e: int) -> int:
+        return 1 if skip_base is not None and skip_base % q == 0 else lambda_prime_power(q, e)
+
+    return prime_power_sieve(limit, table, lambda_coprime, lcm)
 
 
 @dataclass(frozen=True)

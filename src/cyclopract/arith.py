@@ -17,7 +17,7 @@ import os
 from array import array
 from dataclasses import dataclass
 from collections import Counter
-from itertools import compress, count, islice
+from itertools import compress, count, islice, repeat
 from math import gcd, isqrt, lcm
 from operator import eq
 from typing import Callable, Iterable, Iterator
@@ -164,56 +164,53 @@ def prime_power_sieve(
     value: Callable[[int, int], int],
     combine: Callable[[int, int], int],
     unit: int = 1,
-    skip_base: int | None = None,
 ) -> array:
     """f(n) for every n <= limit as one 32-bit array, where f(1) = unit and
-    f(q^e * m) = combine(f(m), value(q, e)) for q prime not dividing m.
+    f(q^e * m) = combine(f(m), value(q, e)) for q prime not dividing m;
+    ``unit`` must be the identity of ``combine``.  Entry 0 is 0.
 
-    Primes dividing ``skip_base`` contribute nothing: f(q^e * m) = f(m).
-    Entry 0 is 0.  Every result must fit 32 bits.
+    The walk of ``chain_sieve``: for each prime q, increasing, and each
+    q^e <= limit, e ascending, one slice write sets f[q^e * m] =
+    combine(f[m], value(q, e)) for every m, or copies f[m] when the value
+    is the unit.  Proof sketch: the last write to n > 1 is made by its
+    largest prime q at its exact exponent e, n = q^e * m, and f[m] is final
+    by then, since every prime of m is smaller; by induction f(n) folds
+    ``combine`` over the prime powers of n, in any order when ``combine``
+    is associative and commutative.  So f is ord*(a, n) and lambda*(n) by
+    the Chinese remainder theorem (lcm), tau(n) (product of e + 1),
+    Omega(phi(n)) (sum of e - 1 + Omega(q - 1)), or the B-smooth part of
+    lambda(n) (lcm of smooth parts).  Every entry, final or not, folds
+    ``value`` over prime powers r^j whose product divides its index, so in
+    these five uses it is at most the index and fits 32 bits: an lcm of
+    divisors of the lambda(r^j) divides lambda of their lcm, a product of
+    j + 1 is at most one of 2^j, and a sum of j - 1 + Omega(r - 1) at most
+    log2 of the product.
 
-    Proof sketch.  Walk d = 2..limit upward and split d = q^e * m with q =
-    spf[d], the least prime of d, so q does not divide m and m < d: f(m) is
-    already in the table and the recurrence gives f(d).  By induction on
-    the number of distinct primes, f(n) folds ``combine`` over the prime
-    powers of n starting from ``unit``.  When ``combine`` is associative
-    and commutative with identity ``unit`` that fold is order-free, so f is
-    the lcm, product or sum of ``value`` over the prime powers of n:
-    ord*(a, n) and lambda*(n) by the Chinese remainder theorem (lcm), tau(n)
-    (product of e + 1), Omega(phi(n)) (sum of e - 1 + Omega(q - 1)), and the
-    B-smooth part of lambda(n), since the smooth part of an lcm is the lcm
-    of the smooth parts.  ``value`` depends on q^e alone, which is
-    recovered as d // m, so memoizing it by q^e is exact.
+    The head f[1..limit // q^e] is read through a memoryview, so the walk
+    holds the table and one temporary of at most limit // 2 entries, plus
+    the 1/16 + 7 an array over-allocates while growing; it charges that.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     if limit > table.limit:
         raise ValueError(f"limit {limit} exceeds spf table limit {table.limit}")
-    charge_budget(4 * (limit + 1), "prime-power sieve table")
-    skip = (
-        frozenset()
-        if skip_base is None
-        else frozenset(q for q, _ in factorize_trial(skip_base).factors)
-    )
-    spf = table.spf
-    values = array("I", [0]) * (limit + 1)
-    values[1] = unit
-    memo: dict[int, int] = {}
-    for d in range(2, limit + 1):
-        q = spf[d]
-        m = d // q
-        e = 1
-        while spf[m] == q:
-            m //= q
-            e += 1
-        if q in skip:
-            values[d] = values[m]
-            continue
-        qe = d // m
-        v = memo.get(qe)
-        if v is None:
-            v = memo[qe] = value(q, e)
-        values[d] = combine(values[m], v)
+    half = limit // 2
+    charge_budget(4 * (limit + 1 + half + half // 16 + 7), "prime-power sieve")
+    values = array("I", [unit]) * (limit + 1)
+    values[0] = 0
+    with memoryview(values) as head:
+        for q in primes_up_to(limit, table):
+            qe = q
+            e = 1
+            while qe <= limit:
+                top = limit // qe
+                v = value(q, e)
+                if v == unit:
+                    values[qe::qe] = values[1 : top + 1]
+                else:
+                    values[qe::qe] = array("I", map(combine, head[1 : top + 1], repeat(v)))
+                qe *= q
+                e += 1
     return values
 
 

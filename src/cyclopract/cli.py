@@ -10,7 +10,9 @@ import argparse
 import json
 import re
 import sys
+from itertools import chain
 from math import isfinite
+from typing import Iterable
 
 from .analysis import (
     AnalysisConfig,
@@ -36,7 +38,7 @@ from .counting import (
     usable_cpu_count,
 )
 from .errors import CapacityError
-from .orders import mult_order, sieve_order_star
+from .orders import sieve_order_star
 from .practicality import (
     degree_multiset,
     is_p_practical,
@@ -183,12 +185,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks: Iterable[str], out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _cmd_test(args) -> int:
@@ -220,27 +222,15 @@ def _cmd_count(args) -> int:
             args.prime, args.limit, args.checkpoints, parts=args.parts
         )
     renderer = {"csv": render_csv, "json": render_json, "text": render_text}[args.format]
-    _emit(renderer(report), args.out)
+    _emit((renderer(report),), args.out)
     return 0
 
 
 def _cmd_orders(args) -> int:
     spf = build_spf_table(max(args.limit, 2))
-    table = sieve_order_star(args.base, args.limit, spf)
-    values = table.values
-    if args.out is None:
-        fh = sys.stdout
-        close = False
-    else:
-        fh = open(args.out, "w", encoding="utf-8", newline="\n")
-        close = True
-    try:
-        fh.write("d,order_star\n")
-        for d in range(1, args.limit + 1):
-            fh.write(f"{d},{values[d]}\n")
-    finally:
-        if close:
-            fh.close()
+    values = sieve_order_star(args.base, args.limit, spf).values
+    rows = (f"{d},{values[d]}\n" for d in range(1, args.limit + 1))
+    _emit(chain(("d,order_star\n",), rows), args.out)
     return 0
 
 
@@ -274,9 +264,9 @@ def _stats_payload(args) -> tuple[dict, list[tuple[str, object, object]]]:
         ]
     elif scanner == "aq":
         _require(scanner, base=args.base, q=args.q)
-        primes = a_q_primes(args.base, args.q, limit)
-        result = {"base": args.base, "q": args.q, "primes": primes}
-        rows = [("aq_prime", p, mult_order(args.base, p, p - 1)) for p in primes]
+        pairs = a_q_primes(args.base, args.q, limit)
+        result = {"base": args.base, "q": args.q, "primes": [p for p, _ in pairs]}
+        rows = [("aq_prime", p, order) for p, order in pairs]
     elif scanner == "ratios":
         _require(scanner, base=args.base)
         spf = build_spf_table(max(limit, 2))
@@ -345,14 +335,14 @@ def _stats_payload(args) -> tuple[dict, list[tuple[str, object, object]]]:
 def _cmd_stats(args) -> int:
     summary, rows = _stats_payload(args)
     if args.format == "json":
-        _emit(json.dumps(summary, indent=2) + "\n", args.out)
+        _emit((json.dumps(summary, indent=2) + "\n",), args.out)
     elif args.format == "csv":
         lines = ["stat,n_or_prime,value"]
         lines.extend(f"{stat},{mid},{value}" for stat, mid, value in rows)
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(("\n".join(lines) + "\n",), args.out)
     else:
         lines = [f"{stat} {mid} = {value}" for stat, mid, value in rows]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(("\n".join(lines) + "\n",), args.out)
     return 0
 
 

@@ -3,11 +3,10 @@ chain keys of a count.
 
 ``order_star(a, n)`` is the multiplicative order of a modulo the largest
 divisor of n coprime to a.  ``sieve_order_star`` computes it for every n up
-to a limit through ``prime_power_sieve``, as the lcm of memoized
-prime-power orders; the ``orders``, ``ratios`` and ``smallorder`` commands
-read that table.  A count needs the orders at the primes alone
-(``prime_order_keys``), and ``lifted_orders`` lifts an order mod q to the
-powers of q.
+to a limit through ``prime_power_sieve``, as the lcm of prime-power orders;
+the ``orders``, ``ratios`` and ``smallorder`` commands read that table.  A
+count needs the orders at the primes alone (``prime_order_keys``), and
+``lifted_orders`` lifts an order mod q to the powers of q.
 """
 from __future__ import annotations
 
@@ -127,17 +126,20 @@ def sieve_order_star(a: int, limit: int, table: SpfTable) -> OrderTable:
 
     ``prime_power_sieve`` with lcm: order_star(a, d) is the lcm of
     ord(a mod q^e) over the prime powers q^e of d with q not dividing a, by
-    the Chinese remainder theorem.  Each prime-power order is computed once,
-    from the order mod q (q - 1 factored through the sieve) lifted to q^e.
+    the Chinese remainder theorem, and a prime dividing a contributes 1.
+    Each prime-power order is the order mod q (q - 1 factored through the
+    sieve) lifted to q^e, so a is never factored.
     """
     if a < 2:
         raise ValueError(f"a must be >= 2, got {a}")
     spf = table.spf
 
     def order_mod_prime_power(q: int, e: int) -> int:
+        if a % q == 0:
+            return 1
         return lifted_orders(a, q, e, _prime_order_sieved(a, q, spf))[-1]
 
-    values = prime_power_sieve(limit, table, order_mod_prime_power, lcm, skip_base=a)
+    values = prime_power_sieve(limit, table, order_mod_prime_power, lcm)
     return OrderTable(base=a, limit=limit, values=values)
 
 

@@ -136,7 +136,7 @@ def test_count_z_dense_monotone(spf10k):
 
 
 def test_a_q_examples():
-    primes = a_q_primes(2, 3, 40)
+    primes = [p for p, _ in a_q_primes(2, 3, 40)]
     assert 31 in primes
     assert not {7, 13, 19, 37} & set(primes)
 
@@ -149,15 +149,21 @@ def test_a_q_brute_force():
                 out.append(p)
         return out
 
-    assert a_q_primes(2, 5, 100) == brute(2, 5, 100)
-    assert a_q_primes(2, 3, 10**4) == brute(2, 3, 10**4)
-    assert a_q_primes(3, 7, 5000) == brute(3, 7, 5000)
+    assert [p for p, _ in a_q_primes(2, 5, 100)] == brute(2, 5, 100)
+    assert [p for p, _ in a_q_primes(2, 3, 10**4)] == brute(2, 3, 10**4)
+    assert [p for p, _ in a_q_primes(3, 7, 5000)] == brute(3, 7, 5000)
 
 
 def test_a_q_membership_means_small_order():
-    for p in a_q_primes(2, 3, 10**4):
+    for p, _ in a_q_primes(2, 3, 10**4):
         assert (p - 1) % 3 == 0
         assert ((p - 1) // 3) % mult_order(2, p, p - 1) == 0
+
+
+@pytest.mark.parametrize("a, q", [(2, 3), (3, 7), (10, 5)])
+def test_a_q_order_column_is_the_order(a, q):
+    for p, order in a_q_primes(a, q, 2 * 10**4):
+        assert order == mult_order(a, p)
 
 
 def test_a_q_validates_arguments():

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from cyclopract.arith import (
     MILLER_RABIN_PROVEN_BELOW,
     TRIAL_DIVISION_LIMIT,
     divisors_and_phis,
+    prime_power_sieve,
     prime_powers,
 )
 
@@ -231,6 +233,20 @@ def test_factorize_trial_beyond_trial_division():
         factorize_trial(MILLER_RABIN_PROVEN_BELOW)
     # Above psi_12 only a cofactor left by trial division is refused.
     assert factorize_trial(2**80 * 999983).factors == ((2, 80), (999983, 1))
+
+
+def test_prime_power_sieve_charges_table_and_temporary(monkeypatch):
+    # The table, and the temporary for q = 2 with an array's growth slack.
+    limit = 1000
+    table = build_spf_table(limit)
+    half = limit // 2
+    charge = 4 * (limit + 1 + half + half // 16 + 7)
+    tau_of = lambda q, e: e + 1
+    monkeypatch.setenv(MEM_BUDGET_ENV, str(charge - 1))
+    with pytest.raises(CapacityError):
+        prime_power_sieve(limit, table, tau_of, operator.mul)
+    monkeypatch.setenv(MEM_BUDGET_ENV, str(charge))
+    assert prime_power_sieve(limit, table, tau_of, operator.mul)[720] == 30
 
 
 def test_memory_budget_enforced(monkeypatch):

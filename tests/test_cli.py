@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclopract import mult_order_star
 from cyclopract.cli import _parse_count_arg, main
 
 
@@ -331,6 +332,35 @@ def test_uncertifiable_cofactor_exits_1(capsys):
     assert code == 1
     assert out == ""
     assert "too large to certify" in err
+
+
+# (10^30 + 57)(10^31 + 33), two primes: trial division leaves the whole base
+# and it is far above psi_12, but no table entry needs its factors.
+HUGE_BASE = 10000000000000000000000000000603000000000000000000000000001881
+
+
+def test_huge_base_orders_match_single_shot(capsys):
+    code, out, err = run_cli(capsys, "orders", "--base", str(HUGE_BASE), "--limit", "100")
+    assert code == 0, err
+    assert out.splitlines() == ["d,order_star"] + [
+        f"{d},{mult_order_star(HUGE_BASE, d)}" for d in range(1, 101)
+    ]
+
+
+def test_huge_base_order_scanners_exit_0(capsys):
+    base = str(HUGE_BASE)
+    small = sum(mult_order_star(HUGE_BASE, d) <= 10 for d in range(1, 1001))
+    code, out, err = run_cli(
+        capsys, "stats", "smallorder", "--base", base, "--limit", "1000", "--bound", "10"
+    )
+    assert code == 0, err
+    assert f"small_order_count,1000,{small}\n" in out
+    code, out, err = run_cli(
+        capsys, "stats", "ratios", "--base", base, "--limit", "1000", "--psi", "100"
+    )
+    assert code == 0, err
+    buckets = [line.split(",") for line in out.splitlines() if line.startswith("ratio_largest")]
+    assert sum(int(c) for _, _, c in buckets) == 1000
 
 
 @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1.5e0", "1e-5", "1e99999"])
