@@ -2,14 +2,14 @@
 sieve, and the elementary arithmetic functions.
 
 Everything downstream (order sieves, practicality checks, counters, scanners)
-reads factorizations from one shared ``SpfTable`` through three kernels:
-``prime_powers`` splits one n into its prime powers, ``divisors_and_phis``
-expands one n into its divisors and their totients, and
+reads factorizations from one shared ``SpfTable`` through two kernels:
+``prime_powers`` splits one n into its prime powers, and
 ``prime_power_sieve`` tabulates a function fixed by its values on prime
 powers for every n up to a limit.  ``primes_up_to`` reads the primes off
 the table, and ``chain_sieve`` settles a prime chain for every n up to a
-limit by slice copies, which is how every count rejects most n.  The table
-is immutable after construction and safe to share between worker processes.
+limit by slice copies, which is how ``stats zdense`` rejects most n.  The
+table is immutable after construction and safe to share between worker
+processes.
 """
 from __future__ import annotations
 
@@ -127,37 +127,6 @@ def prime_powers(n: int, spf: array) -> Iterator[tuple[int, int]]:
         yield q, e
 
 
-def divisors_and_phis(n: int, spf: array) -> tuple[list[int], list[int]]:
-    """Divisors of n and their totients, index-aligned, in generation order.
-
-    The split of ``prime_powers`` is inlined here because the phi count
-    calls this once per chain survivor, and a generator each costs
-    measurably more.
-    """
-    divs = [1]
-    phis = [1]
-    while n > 1:
-        q = spf[n]
-        n //= q
-        e = 1
-        while spf[n] == q:
-            n //= q
-            e += 1
-        width = len(divs)
-        qq = q
-        ph = q - 1
-        while True:
-            for i in range(width):
-                divs.append(divs[i] * qq)
-                phis.append(phis[i] * ph)
-            if e == 1:
-                break
-            e -= 1
-            qq *= q
-            ph *= q
-    return divs, phis
-
-
 def prime_power_sieve(
     limit: int,
     table: SpfTable,
@@ -232,8 +201,8 @@ def chain_sieve(
 
     The chain of n = q_1^e_1 ... q_r^e_r, primes in key order, holds when
     M_j >= c(q_{j+1}) for every j, M_j being the product of the first j
-    prime powers.  The counts use it with c(q) = ord(p mod q) - 1 over F_p,
-    q - 2 over Z, and ceil(q * den / num) for Z-dense with Z = num/den.
+    prime powers.  ``count_z_dense`` uses it with c(q) = ceil(q * den / num)
+    for Z = num/den.
 
     For each prime q in key order and each q^e <= limit, e ascending, the
     sieve sets ok[q^e * m] = ok[m] for every m >= c(q) by one slice copy,
@@ -246,8 +215,12 @@ def chain_sieve(
     of n without its last link.  Ties in key are harmless: among primes of
     equal key, the condition M_j >= c for the first of them implies it for
     the rest, since M_j only grows.  ok[0] is 0 and ok[1] is 1.
+
+    Each slice write reads from a temporary of at most limit // 2 bytes, so
+    the sieve charges that with the table, and 1 KiB for the objects'
+    headers and the loop's integers.
     """
-    charge_budget(limit + 1, "chain sieve")
+    charge_budget(limit + 1 + limit // 2 + 1024, "chain sieve")
     ok = bytearray(b"\x01") * (limit + 1)
     ok[0] = 0
     for q in primes:

@@ -1,24 +1,26 @@
-"""Checkpointed counting sieves for phi-practical and p-practical integers.
+"""Checkpointed counts of phi-practical and p-practical integers, by one
+depth-first walk of the chain tree.
 
-A count runs in two steps.  First one ``chain_sieve`` settles the prime
-chain for every n up to the last checkpoint: with the primes of n sorted
-by a key, k(q) = ord(p mod q) over F_p and q - 1 over Z, a prime whose key
-exceeds one plus the product M of the prime powers before it leaves a gap
-no degree can fill, because every degree below that key comes from a
-divisor of M and those divisors weigh M in all.  Over F_p the keys are
-computed at the primes alone (``orders.prime_order_keys``); no per-n order
-table is built.
-Then each survivor is settled from its cofactor where a lemma allows
-(``_decider``, which memoizes verdicts in the chain sieve's bytearray), and
-runs the sorted-degree greedy only where it does not: over F_p on the
-degree -> weight map merged from the prime powers
-(``practicality.merged_degree_weights``, the kernel ``cyclopract test``
-also uses), over Z on the sorted totients of the divisors.
+Sort the primes of n by a key, k(q) = ord(p mod q) over F_p and q - 1 over
+Z.  A prime whose key exceeds one plus the product M of the prime powers
+before it leaves a gap no degree can fill, because every degree below that
+key comes from a divisor of M and those divisors weigh M in all.  So only
+an n whose chain holds can be practical; this is the shape of Stewart's
+criterion for practical numbers (Amer. J. Math. 1954).  Those n form a tree
+rooted at 1, the parent of n = m * q^e being m, with q the last prime of n
+in key order.  ``_walk`` visits the tree depth first.  It settles a node
+from its parent's verdict where a lemma allows, and otherwise runs the
+sorted-degree greedy over ``practicality.merged_degree_weights`` (the
+kernel ``cyclopract test`` also uses) on the prime powers on its stack.
 
-``parts`` deals the survivor list out like cards, every parts-th survivor
-to each part, and decides the parts in a fork pool; per-part,
-per-checkpoint counts merge by addition, so the output is identical for
-any number of parts.
+Over F_p the keys are computed at the primes alone
+(``orders.prime_order_keys``); no per-n order table is built.  Over Z a
+child prime is at most min(m + 2, N / m), so the walk needs only the primes
+up to sqrt(N) + 2 and no table of N entries.
+
+``parts`` deals the depth-2 subtrees out like cards, in walk order, and
+walks the parts in a fork pool; per-part, per-checkpoint counts merge by
+addition, so the output is identical for any number of parts.
 """
 from __future__ import annotations
 
@@ -26,22 +28,17 @@ import json
 import multiprocessing
 import os
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress, islice
-from math import log
-from typing import Callable, Sequence
+from itertools import accumulate
+from math import isqrt, lcm, log
+from operator import mul
+from typing import Callable, Iterable, Sequence
 
-from .arith import (
-    SpfTable,
-    build_spf_table,
-    chain_sieve,
-    divisors_and_phis,
-    prime_powers,
-    primes_up_to,
-)
+from .arith import SpfTable, build_spf_table, primes_up_to
+from .errors import CapacityError
 from .orders import lifted_orders, prime_order_keys
 from .practicality import greedy_gap, merged_degree_weights
 
@@ -97,20 +94,7 @@ def _resolve_checkpoints(limit: int, checkpoints: Sequence[int] | None) -> list[
     return cps
 
 
-def _phi_practical(n: int, spf: array) -> bool:
-    # The Z verdict for an n that passed the chain: the greedy over its
-    # sorted divisor totients.
-    phis = divisors_and_phis(n, spf)[1]
-    phis.sort()
-    reach = 0
-    for ph in phis:
-        if ph > reach + 1:
-            return False
-        reach += ph
-    return True
-
-
-def _p_orders(p: int, keys: array) -> Callable[[int, int], Sequence[int]]:
+def _p_orders(p: int, keys: dict[int, int]) -> Callable[[int, int], Sequence[int]]:
     """orders(q, e): the orders of p modulo q, q^2, ..., q^e (all 1 when
     q = p), lifted from the chain key of q.  Every prime of a chain survivor
     has an exact key, and each q^e with e >= 2 is lifted once."""
@@ -128,52 +112,46 @@ def _p_orders(p: int, keys: array) -> Callable[[int, int], Sequence[int]]:
     return orders
 
 
-def _p_decider(p: int, spf: array, keys: array) -> Callable[[int], bool]:
-    """The F_p verdict for an n that passed the chain: the greedy over
-    ``merged_degree_weights``, with orders lifted from the chain keys."""
-    orders = _p_orders(p, keys)
-    return lambda n: greedy_gap(merged_degree_weights(prime_powers(n, spf), orders)) is None
+def _phi_ladder(q: int, e: int) -> list[int]:
+    """phi(q), phi(q^2), ..., phi(q^e)."""
+    return [(q - 1) * q**a for a in range(e)]
 
 
-def _chain(
-    p: int | None, top: int, spf_table: SpfTable
-) -> tuple[bytearray, Sequence[int], Callable[[int, int], int], Callable[[int], bool]]:
-    """The chain sieve to top over F_p (over Z when p is None), with what
-    ``_decider`` settles its survivors by: the chain key of each prime
-    (ord(p mod q) over F_p, q itself over Z, which orders the primes as
-    q - 1 does), kappa(q, e) = ord*(p, q^e) over F_p and phi(q^e) over Z,
-    and the plain greedy."""
-    spf = spf_table.spf
-    if p is None:
-        ok = chain_sieve(top, primes_up_to(top, spf_table), lambda q: q - 2)
-        phi = lambda q, e: (q - 1) * q ** (e - 1)
-        return ok, range(top + 1), phi, partial(_phi_practical, spf=spf)
-    primes = list(primes_up_to(top, spf_table))
-    keys = prime_order_keys(p, top, primes, spf_table)
-    primes.sort(key=keys.__getitem__)
-    ok = chain_sieve(top, primes, lambda q: keys[q] - 1)
-    lift = _p_orders(p, keys)
-    return ok, keys, lambda q, e: lift(q, e)[-1], _p_decider(p, spf, keys)
+def _walk(
+    limit: int,
+    keys: dict[int, int],
+    ladder: Callable[[int, int], Sequence[int]],
+    combine: Callable[[int, int], int],
+    visit: Callable[[int, bool], object],
+    part: int,
+    parts: int,
+) -> None:
+    """Call visit(n, practical) for every n <= limit whose prime chain holds
+    and that falls to part ``part`` of ``parts``, depth first from 1.
 
+    ``keys`` maps each prime a chain can use to its key.  ladder(q, e) is
+    delta(q), ..., delta(q^e), where delta(d) is ord*(p, d) over F_p (1 when
+    q = p) and phi(d) over Z, and delta(q) = key(q); ``combine`` merges the
+    degrees of coprime parts, lcm over F_p and product over Z.
 
-def _decider(
-    ok: bytearray,
-    spf: array,
-    keys: Sequence[int],
-    kappa: Callable[[int, int], int],
-    greedy: Callable[[int], bool],
-) -> Callable[[int], bool]:
-    """The verdict on a chain survivor n, memoized in the chain sieve's own
-    bytearray: ok[n] is 0 for no, 1 for a survivor not yet decided and 2
-    for yes.  Read the survivor list before the first call.
+    The tree.  The chain of n = q_1^e_1 ... q_r^e_r, primes in key order
+    (ties by q), holds when key(q_{j+1}) <= M_j + 1 for every j, M_j being
+    the product of the first j prime powers.  For n > 1 put m = n / q^e with
+    q the last prime of n; the chain of n holds exactly when the chain of m
+    holds and key(q) <= m + 1.  So every survivor has exactly one parent,
+    its cofactor m, and the children of m are the m * q^e <= limit with q
+    after m's last prime in key order and key(q) <= m + 1.  Their primes
+    are read from the key-ordered primes, after m's last and up to key
+    m + 1, or from the primes up to limit // m, whichever list is shorter,
+    and filtered by the other bound.
 
-    Split n = m * q^e with q the prime of n last in the chain's key order
-    (largest key, ties to the larger prime).  Accept n when
-    kappa(q, e) <= m + 1 and m is practical, deciding an undecided m first
-    (the recursion is at most omega(n) deep); otherwise run ``greedy``.
-    For e = 1 the inequality is the chain link of q, which every survivor
-    holds; only e >= 2 needs kappa.  m is a survivor itself, because the
-    chain sieve set ok[n] = ok[m].
+    Verdicts.  The root 1 is practical.  A child n = m * q^e is accepted
+    when m is practical and either e = 1 or kappa = delta(q^e) <= m + 1;
+    for e = 1 that inequality is the chain link of q.  Otherwise the greedy
+    runs on the degree -> weight map merged from the prime powers on the
+    stack.  Over Z that map sends phi(d) to its summed weight, which the
+    greedy over the sorted divisor totients agrees with, because equal
+    totients pass or fail together.
 
     Lemma.  Let n = m * q^e with q prime, q not dividing m, and
     kappa = delta(q^e), where delta(d) is ord*(p, d) over F_p (1 when
@@ -200,66 +178,102 @@ def _decider(
       as q^a - 1 >= phi(q^a) >= kappa_a, and that is
       >= m + D - kappa_a >= D - 1, as kappa_a <= kappa <= m + 1.
       Otherwise it is m * q^a > D, as D <= phi(d) * phi(q^a) <= m * (q^a - 1).
-    ``greedy`` is exact, so the verdicts equal the plain greedy's for any
-    order of calls, and each fork worker of ``--parts`` decides the m it
-    needs in its own copy-on-write ok.
+    The greedy is exact, so every verdict equals the plain greedy's.
+
+    Parts.  The walk order does not depend on ``part``.  The depth-2 nodes
+    are numbered in that order, and a part visits and descends into those
+    numbered ``part`` mod ``parts`` only; every part walks the nodes above
+    depth 2, and part 0 visits them.  So each node is visited by exactly
+    one part.
     """
+    primes = sorted(keys)
+    by_key = sorted(primes, key=keys.__getitem__)
+    key_order = [keys[q] for q in by_key]
+    rank = {q: i for i, q in enumerate(by_key)}
+    half = limit // 2
+    stack: list[tuple[int, int]] = []  # the prime powers of the node, in key order
+    dealt = -1  # the number of the last depth-2 node
 
-    def practical(n: int) -> bool:
-        state = ok[n]
-        if state != 1:
-            return state == 2
-        top = q = e = 0
-        r = n
-        while r > 1:
-            s = spf[r]
-            r //= s
-            k = 1
-            while spf[r] == s:
-                r //= s
-                k += 1
-            if keys[s] >= top:
-                top, q, e = keys[s], s, k
-        m = n // q**e if q else 0  # n = 1 has no prime and goes to the greedy
-        verdict = (
-            m > 0 and (e == 1 or kappa(q, e) <= m + 1) and practical(m)
-        ) or greedy(n)
-        ok[n] = 2 if verdict else 0
-        return verdict
+    def descend(m: int, yes: bool, lo: int) -> None:
+        # The children of m, whose primes have ranks lo to hi - 1 in key order.
+        nonlocal dealt
+        cap = limit // m
+        hi = bisect_right(key_order, m + 1, lo)
+        top = bisect_right(primes, cap)
+        if hi - lo < top:
+            qs = [q for q in by_key[lo:hi] if q <= cap]
+        else:
+            qs = [q for q in primes[:top] if lo <= rank[q] < hi]
+        depth = len(stack) + 1
+        for q in qs:
+            qe = q
+            e = 1
+            while qe <= cap:
+                stack.append((q, e))
+                if depth == 2:
+                    dealt += 1
+                if depth != 2 or dealt % parts == part:
+                    n = m * qe
+                    practical = (yes and (e == 1 or ladder(q, e)[-1] <= m + 1)) or greedy_gap(
+                        merged_degree_weights(stack, ladder, combine)
+                    ) is None
+                    if depth > 1 or part == 0:
+                        visit(n, practical)
+                    if n <= half:
+                        descend(n, practical, rank[q] + 1)
+                stack.pop()
+                qe *= q
+                e += 1
 
-    return practical
+    if part == 0:
+        visit(1, True)
+    descend(1, True, 0)
+
+
+def _chain_keys(top: int, primes: Iterable[int], key: Callable[[int], int]) -> dict[int, int]:
+    """key(q) for the primes a chain to top can use: those with
+    key(q) <= top // q + 1, since a node m * q^e <= top has m <= top // q.
+    A few hundred primes are left at top = 10^6."""
+    return {q: k for q in primes if (k := key(q)) <= top // q + 1}
+
+
+def _p_walk(p: int, top: int, spf_table: SpfTable) -> Callable[..., None]:
+    """The walk over F_p: key(q) = ord(p mod q) from ``prime_order_keys``,
+    which is exact wherever it is at most top // q + 1, so at every chain
+    prime; the primes are read off ``spf_table``."""
+    primes = array("I", primes_up_to(top, spf_table))
+    keys = _chain_keys(top, primes, prime_order_keys(p, top, primes, spf_table).__getitem__)
+    return partial(_walk, top, keys, _p_orders(p, keys), lcm)
+
+
+def _phi_walk(top: int) -> Callable[..., None]:
+    """The walk over Z: key(q) = q - 1 over the primes up to
+    bound = isqrt(top) + 2.  A chain prime q after a cofactor m has
+    q <= m + 2 and q <= top / m, so q <= bound."""
+    bound = isqrt(top) + 2
+    primes = primes_up_to(bound, build_spf_table(bound))
+    return partial(_walk, top, _chain_keys(top, primes, lambda q: q - 1), _phi_ladder, mul)
 
 
 def _count_part(
-    part: int,
-    parts: int,
-    checkpoints: list[int],
-    survivors: array,
-    practical: Callable[[int], bool],
+    walk: Callable[..., None], checkpoints: list[int], parts: int, part: int
 ) -> list[int]:
-    """Per-checkpoint practical counts over survivors[part::parts]."""
-    mine = survivors[part::parts]
-    decided = map(practical, mine)
-    counts = []
-    running = 0
-    done = 0
-    for x in checkpoints:
-        end = bisect_right(mine, x)
-        if end > done:
-            running += sum(islice(decided, end - done))
-            done = end
-        counts.append(running)
-    return counts
+    """Per-checkpoint practical counts over the nodes of one part."""
+    found = [0] * len(checkpoints)
+
+    def tally(n: int, practical: bool) -> None:
+        if practical:
+            found[bisect_left(checkpoints, n)] += 1
+
+    walk(tally, part, parts)
+    return list(accumulate(found))
 
 
 _WORKER_STATE: dict = {}
 
 
 def _count_worker(part: int) -> list[int]:
-    state = _WORKER_STATE
-    return _count_part(
-        part, state["parts"], state["checkpoints"], state["survivors"], state["practical"]
-    )
+    return _WORKER_STATE["count_part"](part)
 
 
 def usable_cpu_count() -> int:
@@ -270,31 +284,8 @@ def usable_cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _count_survivors(
-    ok: bytearray,
-    checkpoints: list[int],
-    practical: Callable[[int], bool],
-    parts: int,
-) -> list[int]:
-    """Per-checkpoint counts of the n the chain passed (ok[n] set) that
-    ``practical`` accepts.  The survivor list is read before ``practical``
-    first runs, since ``_decider`` writes its verdicts into ok.  Part i
-    takes every parts-th survivor from the i-th, so the parts carry even
-    loads although larger n cost more; they run in a fork pool when there
-    is more than one, and their counts add."""
-    survivors = array("I", compress(range(len(ok)), ok))
-    parts = min(parts, len(survivors))
-    if parts > 1 and "fork" in multiprocessing.get_all_start_methods():
-        partials = _run_workers(parts, checkpoints, survivors, practical)
-    else:
-        partials = [_count_part(i, parts, checkpoints, survivors, practical) for i in range(parts)]
-    return [sum(column) for column in zip(*partials)]
-
-
-def _run_workers(parts, checkpoints, survivors, practical) -> list[list[int]]:
-    _WORKER_STATE.update(
-        parts=parts, checkpoints=checkpoints, survivors=survivors, practical=practical
-    )
+def _run_workers(count_part: Callable[[int], list[int]], parts: int) -> list[list[int]]:
+    _WORKER_STATE["count_part"] = count_part
     try:
         workers = min(parts, usable_cpu_count())
         ctx = multiprocessing.get_context("fork")
@@ -309,21 +300,31 @@ def _count(
     limit: int,
     checkpoints: Sequence[int] | None,
     parts: int,
-    spf_table: SpfTable | None,
+    spf_table: SpfTable | None = None,
 ) -> CountReport:
     """Exact counts at each checkpoint, over F_p or over Z when p is None:
-    one chain sieve to the last checkpoint, then its survivors, settled by
-    ``_decider`` in ``parts`` parts."""
+    one walk of the chain tree to the last checkpoint, in ``parts`` parts,
+    in a fork pool when there is more than one."""
     if parts < 1:
         raise ValueError(f"parts must be >= 1, got {parts}")
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
     cps = _resolve_checkpoints(limit, checkpoints)
-    if spf_table is None:
-        spf_table = build_spf_table(limit)
-    ok, keys, kappa, greedy = _chain(p, cps[-1], spf_table)
-    practical = _decider(ok, spf_table.spf, keys, kappa, greedy)
-    totals = _count_survivors(ok, cps, practical, parts)
+    if limit >= 1 << 32:
+        # The F_p tables hold 32-bit entries; both counts share that range.
+        raise CapacityError(f"limit {limit} does not fit 32-bit table entries")
+    if p is None:
+        walk = _phi_walk(cps[-1])
+    else:
+        if spf_table is None:
+            spf_table = build_spf_table(limit)
+        walk = _p_walk(p, cps[-1], spf_table)
+    count_part = partial(_count_part, walk, cps, parts)
+    if parts > 1 and "fork" in multiprocessing.get_all_start_methods():
+        partials = _run_workers(count_part, parts)
+    else:
+        partials = [count_part(part) for part in range(parts)]
+    totals = [sum(column) for column in zip(*partials)]
     rows = tuple(CountRow(X=x, count=c, ratio=ratio_row(x, c)) for x, c in zip(cps, totals))
     return CountReport(kind="phi" if p is None else "p", base=p, limit=limit, rows=rows)
 
@@ -345,11 +346,10 @@ def count_phi_practical(
     limit: int,
     checkpoints: Sequence[int] | None = None,
     parts: int = 1,
-    *,
-    spf_table: SpfTable | None = None,
 ) -> CountReport:
-    """Exact phi-practical counts at each checkpoint; no order table needed."""
-    return _count(None, limit, checkpoints, parts, spf_table)
+    """Exact phi-practical counts at each checkpoint, from the primes up to
+    sqrt(limit) + 2; no table of limit entries is built."""
+    return _count(None, limit, checkpoints, parts)
 
 
 def render_csv(report: CountReport) -> str:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from math import gcd, lcm, prod
+from typing import Iterable
 
 from .arith import (
     SpfTable,
@@ -147,7 +148,7 @@ def sieve_order_star(a: int, limit: int, table: SpfTable) -> OrderTable:
 _STAMP_SPAN = 64
 
 
-def prime_order_keys(a: int, limit: int, primes: list[int], table: SpfTable) -> array:
+def prime_order_keys(a: int, limit: int, primes: Iterable[int], table: SpfTable) -> array:
     """Chain keys for a count up to limit, as one 32-bit array indexed by q.
 
     At each prime q in ``primes`` the key is ord(a mod q) (1 where q

@@ -11,7 +11,8 @@ Over F_p every degree is an lcm of ord(p mod q^a) over the prime powers of
 d, so a decision needs only ord(p mod q) at the primes q of n, lifted to
 q^e.  ``merged_degree_weights`` builds the degree -> weight map from those
 prime powers, and ``greedy_gap`` runs the greedy over it; ``is_p_practical``
-and the count survivors share both.  ``degree_multiset`` (one
+and both counts share them, the phi count with degrees multiplied instead
+of taking their lcm.  ``degree_multiset`` (one
 ``mult_order_star`` per divisor, or one entry of an order-star table) with
 ``coverage_check``, a dense subset-sum oracle and a direct
 polynomial-factorization oracle stay as independent checks.
@@ -148,33 +149,39 @@ def dp_coverage_oracle(ms: DegreeMultiset, cap: int = DEFAULT_ORACLE_CAP) -> Pra
 
 def merged_degree_weights(
     prime_powers: Iterable[tuple[int, int]],
-    orders: Callable[[int, int], Sequence[int]],
+    ladder: Callable[[int, int], Sequence[int]],
+    combine: Callable[[int, int], int] = lcm,
 ) -> dict[int, int]:
-    """degree -> total phi-weight of the divisors of n with that ord*(p, d),
-    from the prime powers (q, e) of n and orders(q, e), the orders of p
-    modulo q, q^2, ..., q^e (all 1 when q = p).
+    """degree -> total phi-weight of the divisors of n with that degree,
+    from the prime powers (q, e) of n and ladder(q, e), the degrees of q,
+    q^2, ..., q^e; a divisor d * q^a of coprime parts has degree
+    combine(degree of d, degree of q^a).
+
+    Over F_p the degree is ord*(p, d): the ladder holds the orders of p
+    modulo q, ..., q^e (all 1 when q = p) and ``combine`` is lcm, by the
+    Chinese remainder theorem.  Over Z it is phi(d): the ladder holds
+    phi(q), ..., phi(q^e) and ``combine`` is the product.
 
     Start from {1: 1} (the divisor 1) and merge each q^e in: a divisor
-    d * q^a of the part built so far has degree lcm(ord*(p, d), ord*(p, q^a))
-    by the Chinese remainder theorem and weight phi(d) * phi(q^a).  This is
+    d * q^a of the part built so far has weight phi(d) * phi(q^a).  This is
     the aggregation ``coverage_check`` makes (weight = degree * count), with
     no divisor list.  The map never has more entries than n has divisors;
     past ``DEFAULT_DIVISOR_CAP`` entries it raises CapacityError.
     """
     weights = {1: 1}
     for q, e in prime_powers:
-        ladder = orders(q, e)
-        if ladder[-1] == 1:
-            # Every order divides the last: each d * q^a keeps the degree of d.
+        steps = ladder(q, e)
+        if steps[-1] == 1:
+            # Every degree divides the last: each d * q^a keeps the degree of d.
             qe = q**e
             for deg in weights:
                 weights[deg] *= qe
             continue
         items = list(weights.items())
         ph = q - 1
-        for k in ladder:
+        for k in steps:
             for deg, w in items:
-                deg = lcm(deg, k)
+                deg = combine(deg, k)
                 weights[deg] = weights.get(deg, 0) + w * ph
             ph *= q
         if len(weights) > DEFAULT_DIVISOR_CAP:

@@ -38,6 +38,8 @@ TABLE_RATIOS = {
     3: ["1.888120", "1.782201", "1.732465", "1.734883", "1.759405", "1.741962"],
     5: ["2.118378", "1.975618", "2.006933", "1.939583", "1.954149", "1.972173"],
 }
+TABLE_PHI = [28, 174, 1198, 9301, 74461, 635528]
+TABLE_PHI_RATIOS = ["1.289448", "1.201949", "1.103399", "1.070817", "1.028717", "1.024350"]
 DECADES_TO_6 = [10**k for k in range(2, 7)]
 DECADES_TO_7 = [10**k for k in range(2, 8)]
 
@@ -205,3 +207,18 @@ def test_criterion_8_partition_invariance(spf100k):
             renders.add((render_csv(report), render_json(report)))
         assert len(renders) == 1
         assert all(report == reports[0] for report in reports)
+
+
+def test_criterion_9_phi_table_reproduction_1e7(capsys):
+    with criterion(9, "phi table reproduction at 10^7, exact, through the CLI"):
+        t0 = time.time()
+        code = cli_main(["count", "--phi", "--limit", "1e7"])
+        elapsed = time.time() - t0
+        out = capsys.readouterr().out
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [int(x) for x, _, _ in rows] == DECADES_TO_7
+        assert [int(c) for _, c, _ in rows] == TABLE_PHI
+        assert [r for _, _, r in rows] == TABLE_PHI_RATIOS
+        with capsys.disabled():
+            print(f"  phi: counts exact to 10^7 in {elapsed:.1f}s")

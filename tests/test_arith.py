@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -23,9 +24,10 @@ from cyclopract.arith import (
     MEM_BUDGET_ENV,
     MILLER_RABIN_PROVEN_BELOW,
     TRIAL_DIVISION_LIMIT,
-    divisors_and_phis,
+    chain_sieve,
     prime_power_sieve,
     prime_powers,
+    primes_up_to,
 )
 
 
@@ -69,10 +71,9 @@ def test_spf_table_agrees_with_trial_division(limit):
 def test_sieve_kernels_agree_with_trial_division(spf10k, n):
     f = factorize_trial(n)
     assert tuple(prime_powers(n, spf10k.spf)) == f.factors
-    divs, phis = divisors_and_phis(n, spf10k.spf)
-    assert sorted(divs) == [d for d in range(1, n + 1) if n % d == 0]
-    assert phis == [euler_phi(factorize_trial(d)) for d in divs]
-    assert sorted(zip(divs, phis)) == sorted(divisor_phi_pairs(f))
+    pairs = divisor_phi_pairs(f)
+    assert sorted(d for d, _ in pairs) == [d for d in range(1, n + 1) if n % d == 0]
+    assert all(ph == euler_phi(factorize_trial(d)) for d, ph in pairs)
 
 
 def test_factorize_examples(spf10m):
@@ -247,6 +248,28 @@ def test_prime_power_sieve_charges_table_and_temporary(monkeypatch):
         prime_power_sieve(limit, table, tau_of, operator.mul)
     monkeypatch.setenv(MEM_BUDGET_ENV, str(charge))
     assert prime_power_sieve(limit, table, tau_of, operator.mul)[720] == 30
+
+
+def test_chain_sieve_charges_table_and_temporary(monkeypatch):
+    # The table, the slice temporary of up to limit // 2 bytes, and 1 KiB for
+    # object headers; tracemalloc's peak stays within that charge.
+    limit = 10**5
+    primes = list(primes_up_to(limit, build_spf_table(limit)))
+    half_up = lambda q: -(-q // 2)  # the chain of Z-dense with Z = 2
+    charge = limit + 1 + limit // 2 + 1024
+    monkeypatch.setenv(MEM_BUDGET_ENV, str(charge - 1))
+    with pytest.raises(CapacityError):
+        chain_sieve(limit, primes, half_up)
+    monkeypatch.setenv(MEM_BUDGET_ENV, str(charge))
+    chain_sieve(100, primes[:25], half_up)  # warm the call path before tracing
+    tracemalloc.start()
+    try:
+        ok = chain_sieve(limit, primes, half_up)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ok) == limit + 1
+    assert limit + limit // 2 <= peak <= charge, peak
 
 
 def test_memory_budget_enforced(monkeypatch):

@@ -249,6 +249,29 @@ def test_capacity_error_exits_1(capsys, monkeypatch):
     assert "budget" in err
 
 
+PHI_CSV_1E6 = (
+    "X,count,ratio\n"
+    "100,28,1.289448\n"
+    "1000,174,1.201949\n"
+    "10000,1198,1.103399\n"
+    "100000,9301,1.070817\n"
+    "1000000,74461,1.028717\n"
+)
+
+
+def test_phi_count_fits_a_small_budget(capsys, monkeypatch):
+    # The phi walk reads the primes up to sqrt(N) + 2 only; the F_p count
+    # still builds tables of N entries and is refused.
+    monkeypatch.setenv("CYCLO_MEM_BUDGET_BYTES", "100000")
+    code, out, err = run_cli(capsys, "count", "--phi", "--limit", "1e6")
+    assert code == 0, err
+    assert out == PHI_CSV_1E6
+    code, out, err = run_cli(capsys, "count", "--prime", "2", "--limit", "1e6")
+    assert code == 1
+    assert out == ""
+    assert "budget" in err
+
+
 def test_checkpoint_above_limit_exits_1(capsys):
     code, out, err = run_cli(
         capsys, "count", "--phi", "--limit", "100", "--checkpoints", "1000"

@@ -1,6 +1,6 @@
 import random
-from functools import partial
-from itertools import compress
+from math import lcm
+from operator import mul
 
 import pytest
 
@@ -16,8 +16,9 @@ from cyclopract import (
     render_json,
     render_text,
 )
-from cyclopract.arith import divisors_and_phis, prime_powers, primes_up_to
-from cyclopract.counting import _chain, _decider, _p_decider, _phi_practical
+from cyclopract import counting
+from cyclopract.arith import divisor_phi_pairs, factorize, prime_powers, primes_up_to
+from cyclopract.counting import _p_walk, _phi_ladder, _phi_walk
 from cyclopract.practicality import merged_degree_weights
 
 
@@ -44,14 +45,21 @@ def phi_chain(n, spf):
     return True
 
 
-def p_chain_sieve(p, limit, spf_table):
-    """The count path's F_p chain: keys at the primes alone, one sieve."""
-    ok, keys, _, _ = _chain(p, limit, spf_table)
-    return ok, keys
+def chain_walk(p, limit, spf_table):
+    """The count path's walk of the chain tree, over F_p or over Z (p None)."""
+    return _phi_walk(limit) if p is None else _p_walk(p, limit, spf_table)
 
 
-def phi_chain_sieve(limit, spf_table):
-    return _chain(None, limit, spf_table)[0]
+def walked(walk, part=0, parts=1):
+    """{n: verdict} for every node one part of the walk visits; none twice."""
+    nodes = {}
+
+    def visit(n, practical):
+        assert n not in nodes, n
+        nodes[n] = practical
+
+    walk(visit, part, parts)
+    return nodes
 
 
 @pytest.mark.parametrize(
@@ -74,19 +82,19 @@ def test_ratio_row_rejects_tiny_X():
 
 
 def test_phi_count_first_decade(spf10k):
-    report = count_phi_practical(10, [10], spf_table=spf10k)
+    report = count_phi_practical(10, [10])
     assert report.counts() == [6]
 
 
 def test_phi_counts_nondecreasing(spf10k):
-    report = count_phi_practical(10**4, [100, 1000, 10**4], spf_table=spf10k)
+    report = count_phi_practical(10**4, [100, 1000, 10**4])
     counts = report.counts()
     assert counts == sorted(counts)
 
 
 def test_phi_counts_bounded_by_p_counts(spf10k):
     cps = [100, 1000, 10**4]
-    phi_counts = count_phi_practical(10**4, cps, spf_table=spf10k).counts()
+    phi_counts = count_phi_practical(10**4, cps).counts()
     for p in (2, 3, 5):
         p_counts = count_p_practical_partitioned(p, 10**4, cps, spf_table=spf10k).counts()
         assert all(fc <= pc for fc, pc in zip(phi_counts, p_counts))
@@ -98,13 +106,13 @@ def test_p_count_small_checkpoints(spf10k):
 
 
 def test_partition_invariance_small(spf10k):
-    # The parts deal the survivor list out; no split may move a count.
+    # The parts deal the depth-2 subtrees out; no split may move a count.
     cps = [100, 5000, 10**4]
     for kind in (2, 3, None):
         baseline = None
         for parts in (1, 2, 3, 4, 7):
             if kind is None:
-                report = count_phi_practical(10**4, cps, parts=parts, spf_table=spf10k)
+                report = count_phi_practical(10**4, cps, parts=parts)
             else:
                 report = count_p_practical_partitioned(
                     kind, 10**4, cps, parts=parts, spf_table=spf10k
@@ -120,31 +128,30 @@ def test_partition_invariance_small(spf10k):
 
 
 def test_stream_agrees_with_single_shot(spf100k, order_tables):
-    # The count path (chain sieve, then the survivor kernel) against the
+    # The count path (the walk of the chain tree) against the
     # divisor-by-divisor oracle, not against the shared kernel.
     table = order_tables(2, 10**5)
-    ok, keys = p_chain_sieve(2, 10**5, spf100k)
-    practical = _p_decider(2, spf100k.spf, keys)
+    nodes = walked(chain_walk(2, 10**5, spf100k))
     rng = random.Random(31337)
     for _ in range(10**4):
         n = rng.randint(1, 10**5)
-        streamed = bool(ok[n]) and practical(n)
+        streamed = nodes.get(n, False)
         assert streamed == coverage_check(degree_multiset(n, 2, table)).practical, n
 
 
 def test_checkpoint_validation(spf10k):
     with pytest.raises(ValueError):
-        count_phi_practical(100, [50, 50], spf_table=spf10k)
+        count_phi_practical(100, [50, 50])
     with pytest.raises(ValueError):
-        count_phi_practical(100, [200], spf_table=spf10k)
+        count_phi_practical(100, [200])
     with pytest.raises(ValueError):
-        count_phi_practical(100, [1, 10], spf_table=spf10k)
+        count_phi_practical(100, [1, 10])
     with pytest.raises(ValueError):
-        count_phi_practical(100, [], spf_table=spf10k)
+        count_phi_practical(100, [])
 
 
 def test_default_checkpoints_are_decades(spf10k):
-    report = count_phi_practical(10**4, spf_table=spf10k)
+    report = count_phi_practical(10**4)
     assert [row.X for row in report.rows] == [100, 1000, 10**4]
 
 
@@ -162,28 +169,28 @@ def test_renderers_are_deterministic(spf10k):
 def test_report_metadata(spf10k):
     rep_p = count_p_practical_partitioned(3, 1000, [1000], spf_table=spf10k)
     assert (rep_p.kind, rep_p.base, rep_p.label()) == ("p", 3, "3")
-    rep_phi = count_phi_practical(1000, [1000], spf_table=spf10k)
+    rep_phi = count_phi_practical(1000, [1000])
     assert (rep_phi.kind, rep_phi.base, rep_phi.label()) == ("phi", None, "phi")
     for row in rep_p.rows + rep_phi.rows:
         assert row.ratio == ratio_row(row.X, row.count)
 
 
-def test_phi_stream_agrees_with_single_shot(spf10k):
-    ok = phi_chain_sieve(2000, spf10k)
+def test_phi_stream_agrees_with_single_shot():
+    nodes = walked(chain_walk(None, 2000, None))
     for n in range(1, 2001):
-        streamed = bool(ok[n]) and _phi_practical(n, spf10k.spf)
+        streamed = nodes.get(n, False)
         assert streamed == coverage_check(phi_degree_multiset(n)).practical, n
 
 
-def unfiltered_greedy(n, spf, order_values):
+def unfiltered_greedy(n, table, order_values):
     """The sorted (degree, phi) greedy over every divisor of n, no prefilter."""
-    divs, phis = divisors_and_phis(n, spf)
+    pairs = divisor_phi_pairs(factorize(n, table))
     if order_values is None:
-        pairs = sorted(zip(phis, phis))
+        degrees = sorted((ph, ph) for _, ph in pairs)
     else:
-        pairs = sorted(zip(map(order_values.__getitem__, divs), phis))
+        degrees = sorted((order_values[d], ph) for d, ph in pairs)
     reach = 0
-    for deg, ph in pairs:
+    for deg, ph in degrees:
         if deg > reach + 1:
             return False
         reach += ph
@@ -192,78 +199,82 @@ def unfiltered_greedy(n, spf, order_values):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, None])
 def test_chain_never_rejects_a_practical_n(spf100k, order_tables, p):
-    # The chain sieve equals the per-n chain for every n <= 10^5, never
-    # rejects an n the unfiltered greedy accepts, and its survivors decide
-    # exactly as that greedy does.
+    # The walk visits exactly the n <= 10^5 whose per-n chain holds, never
+    # skips an n the unfiltered greedy accepts, and its verdicts are that
+    # greedy's.
     spf = spf100k.spf
-    if p is None:
-        ov = None
-        ok = phi_chain_sieve(10**5, spf100k)
-        decide = partial(_phi_practical, spf=spf)
-    else:
-        ov = order_tables(p, 10**5).values
-        ok, keys = p_chain_sieve(p, 10**5, spf100k)
-        decide = _p_decider(p, spf, keys)
-    assert ok[0] == 0
-    survivors = 0
+    ov = None if p is None else order_tables(p, 10**5).values
+    nodes = walked(chain_walk(p, 10**5, spf100k))
     for n in range(1, 10**5 + 1):
-        practical = unfiltered_greedy(n, spf, ov)
-        passed = bool(ok[n])
+        practical = unfiltered_greedy(n, spf100k, ov)
+        passed = n in nodes
         assert passed == (phi_chain(n, spf) if p is None else p_chain(n, spf, ov)), n
         assert passed or not practical, n
-        assert (passed and decide(n)) == practical, n
-        survivors += passed
-    # The chain leaves under a fifth of n to the greedy (10.6k to 17.9k here).
-    assert survivors < 2 * 10**4
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_merged_degree_weights_match_degree_multiset(spf100k, order_tables, p):
-    spf = spf100k.spf
-    table = order_tables(p, 2 * 10**4)
-    ov = table.values
-
-    def orders(q, e):
-        return [ov[q**a] for a in range(1, e + 1)]
-
-    for n in range(1, 2 * 10**4 + 1):
-        weights = merged_degree_weights(prime_powers(n, spf), orders)
-        assert all(w % deg == 0 for deg, w in weights.items()), n
-        merged = {deg: w // deg for deg, w in weights.items()}
-        assert merged == degree_multiset(n, p, table).degree_counts(), n
+        assert nodes.get(n, False) == practical, n
+    # The chain leaves under a fifth of n to the walk (10.6k to 17.9k here).
+    assert len(nodes) < 2 * 10**4
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, None])
-def test_memoized_decider_matches_plain_greedy(spf100k, p):
-    # Every chain survivor n <= 10^5 gets the plain greedy's verdict from the
-    # cofactor lemma memoized in the chain bytearray, whichever part decides
-    # n and whichever cofactors that part has to settle first.
+def test_merged_degree_weights_match_degree_multiset(spf100k, order_tables, p):
+    # Over F_p degrees combine by lcm from the order ladder; over Z (p None)
+    # by product from the totient ladder.
+    spf = spf100k.spf
+    if p is None:
+        ladder, combine = _phi_ladder, mul
+        multiset = phi_degree_multiset
+    else:
+        table = order_tables(p, 2 * 10**4)
+        ov = table.values
+        ladder, combine = (lambda q, e: [ov[q**a] for a in range(1, e + 1)]), lcm
+        multiset = lambda n: degree_multiset(n, p, table)
+
+    for n in range(1, 2 * 10**4 + 1):
+        weights = merged_degree_weights(prime_powers(n, spf), ladder, combine)
+        assert all(w % deg == 0 for deg, w in weights.items()), n
+        merged = {deg: w // deg for deg, w in weights.items()}
+        assert merged == multiset(n).degree_counts(), n
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, None])
+def test_memoized_decider_matches_plain_greedy(spf100k, order_tables, monkeypatch, p):
+    # Every node of the walk to 10^5 gets the plain greedy's verdict from its
+    # parent's by the cofactor lemma, or from the greedy where the lemma is
+    # silent; the greedy runs on under a quarter of the nodes.  Parts 2, 3
+    # and 7 visit disjoint node sets whose union is the whole walk.
     limit = 10**5
-    ok, keys, kappa, greedy = _chain(p, limit, spf100k)
-    survivors = list(compress(range(limit + 1), ok))
-    plain = {n: greedy(n) for n in survivors}
+    ov = None if p is None else order_tables(p, limit).values
+    walk = chain_walk(p, limit, spf100k)
+    greedy_gap = counting.greedy_gap
     calls = 0
 
-    def counted(n):
+    def counted(weights):
         nonlocal calls
         calls += 1
-        return greedy(n)
+        return greedy_gap(weights)
 
-    for parts in (1, 3):
-        calls = 0
+    monkeypatch.setattr(counting, "greedy_gap", counted)
+    whole = walked(walk)
+    # The greedy runs on 4% to 18% of the nodes here.
+    assert calls < len(whole) // 4, (calls, len(whole))
+    monkeypatch.undo()
+    for n, practical in whole.items():
+        assert practical == unfiltered_greedy(n, spf100k, ov), (p, n)
+    yes = {n for n, practical in whole.items() if practical}
+    for parts in (2, 3, 7):
+        seen, seen_yes = set(), set()
         for part in range(parts):
-            decide = _decider(bytearray(ok), spf100k.spf, keys, kappa, counted)
-            for n in survivors[part::parts]:
-                assert decide(n) == plain[n], (p, parts, n)
-        if parts == 1:
-            # The lemma settles most survivors: the greedy runs on 4% to 18%
-            # of them here, and on about 75% with the smallest-key prime.
-            assert calls < len(survivors) // 4, calls
+            nodes = walked(walk, part, parts)
+            assert seen.isdisjoint(nodes), (p, parts, part)
+            assert all(whole[n] == practical for n, practical in nodes.items())
+            seen |= nodes.keys()
+            seen_yes |= {n for n, practical in nodes.items() if practical}
+        assert seen == whole.keys() and seen_yes == yes, (p, parts)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, None])
 def test_cofactor_lemma_against_oracle(order_tables, spf100k, p):
-    # The lemma of counting._decider on the divisor-by-divisor oracle: for
+    # The lemma of counting._walk on the divisor-by-divisor oracle: for
     # m practical, q a prime not dividing m and kappa = delta(q^e) <= m + 1,
     # n = m * q^e is practical.  At e = 1 the bound is sharp: kappa = m + 2
     # leaves m + 1 unreachable.
