@@ -133,7 +133,7 @@ def is_z_dense(n: int, z, table: SpfTable | None = None) -> bool:
     return True
 
 
-def count_z_dense(limit: int, z, table: SpfTable | None = None) -> int:
+def count_z_dense(limit: int, z) -> int:
     """Exact count of Z-dense n <= limit, by Tenenbaum's criterion through
     one ``chain_sieve``.
 
@@ -156,8 +156,7 @@ def count_z_dense(limit: int, z, table: SpfTable | None = None) -> int:
     num, den = _ratio_parts(z)
     if num < 2 * den:
         raise ValueError(f"Z must be >= 2, got {z}")
-    table = _require_spf(limit, table)
-    ok = chain_sieve(limit, primes_up_to(limit, table), lambda q: -(-q * den // num))
+    ok = chain_sieve(limit, primes_up_to(limit), lambda q: -(-q * den // num))
     return ok.count(1)
 
 
@@ -171,23 +170,24 @@ def dense_count_bound_ratio(limit: int, z, count: int) -> float:
 
 def a_q_primes(a: int, q: int, bound: int) -> list[tuple[int, int]]:
     """(p, ord(a mod p)) for the primes p <= bound with p = 1 (mod q) and
-    a^((p-1)/q) = 1 (mod p), read off the primes of one SPF table to bound,
-    which also factors each p - 1 for its order."""
+    a^((p-1)/q) = 1 (mod p); an SPF table to bound factors each p - 1 for
+    its order."""
     if a < 2:
         raise ValueError(f"a must be >= 2, got {a}")
     if q < 3 or q % 2 == 0 or not is_prime(q):
         raise ValueError(f"q must be an odd prime, got {q}")
     if bound < q:
         raise ValueError(f"bound must be >= q, got {bound}")
-    table = build_spf_table(bound)
+    primes = primes_up_to(bound)
+    spf = build_spf_table(bound).spf
     return [
-        (p, _prime_order_sieved(a, p, table.spf))
-        for p in primes_up_to(bound, table)
+        (p, _prime_order_sieved(a, p, spf))
+        for p in primes
         if p % q == 1 and pow(a, (p - 1) // q, p) == 1
     ]
 
 
-def lambda_star_table(limit: int, table: SpfTable, skip_base: int | None = None) -> array:
+def lambda_star_table(limit: int, skip_base: int | None = None) -> array:
     """lambda of the largest divisor of n coprime to skip_base, for n <= limit.
 
     ``prime_power_sieve`` with lcm over the lambda(q^e) of the prime powers
@@ -197,7 +197,7 @@ def lambda_star_table(limit: int, table: SpfTable, skip_base: int | None = None)
     def lambda_coprime(q: int, e: int) -> int:
         return 1 if skip_base is not None and skip_base % q == 0 else lambda_prime_power(q, e)
 
-    return prime_power_sieve(limit, table, lambda_coprime, lcm)
+    return prime_power_sieve(limit, lambda_coprime, lcm)
 
 
 @dataclass(frozen=True)
@@ -227,7 +227,7 @@ def lambda_order_ratio_stats(
         raise ValueError(f"order table base {order_table.base} does not match a={a}")
     if order_table.limit < limit or spf_table.limit < limit:
         raise ValueError("tables do not cover the requested limit")
-    lam = lambda_star_table(limit, spf_table, skip_base=a)
+    lam = lambda_star_table(limit, skip_base=a)
     spf = spf_table.spf
     counts: dict[int, int] = {}
     for ratio, c in Counter(map(floordiv, lam[1:], order_table.values[1 : limit + 1])).items():
@@ -265,7 +265,7 @@ def omega_phi_distribution(limit: int, table: SpfTable | None = None) -> dict[in
     def omega_phi_prime_power(q: int, e: int) -> int:
         return e - 1 + sum(k for _, k in prime_powers(q - 1, spf))
 
-    return dict(Counter(prime_power_sieve(limit, table, omega_phi_prime_power, add, unit=0)[1:]))
+    return dict(Counter(prime_power_sieve(limit, omega_phi_prime_power, add, unit=0)[1:]))
 
 
 def omega_phi_excess(dist: dict[int, int], X: int) -> int:
@@ -275,12 +275,11 @@ def omega_phi_excess(dist: dict[int, int], X: int) -> int:
     return sum(c for om, c in dist.items() if om >= cutoff)
 
 
-def tau_threshold_count(limit: int, kappa, table: SpfTable | None = None) -> int:
+def tau_threshold_count(limit: int, kappa) -> int:
     """#{n <= limit : tau(n) >= kappa}; tau by ``prime_power_sieve`` with *."""
     if kappa < 1:
         raise ValueError(f"kappa must be >= 1, got {kappa}")
-    table = _require_spf(limit, table)
-    taus = Counter(prime_power_sieve(limit, table, lambda q, e: e + 1, mul)[1:])
+    taus = Counter(prime_power_sieve(limit, lambda q, e: e + 1, mul)[1:])
     return sum(c for t, c in taus.items() if t >= kappa)
 
 
@@ -313,5 +312,5 @@ def smooth_lambda_part_count(
             part *= r**k
         return part
 
-    parts = Counter(prime_power_sieve(limit, table, smooth_lambda_prime_power, lcm)[1:])
+    parts = Counter(prime_power_sieve(limit, smooth_lambda_prime_power, lcm)[1:])
     return sum(c for part, c in parts.items() if part > threshold)

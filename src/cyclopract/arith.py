@@ -1,15 +1,15 @@
-"""Smallest-prime-factor sieve, the kernels that read it, the prime chain
-sieve, and the elementary arithmetic functions.
+"""Smallest-prime-factor sieve, the kernels that read it, the prime sieve,
+the prime chain sieve, and the elementary arithmetic functions.
 
-Everything downstream (order sieves, practicality checks, counters, scanners)
-reads factorizations from one shared ``SpfTable`` through two kernels:
-``prime_powers`` splits one n into its prime powers, and
-``prime_power_sieve`` tabulates a function fixed by its values on prime
-powers for every n up to a limit.  ``primes_up_to`` reads the primes off
-the table, and ``chain_sieve`` settles a prime chain for every n up to a
-limit by slice copies, which is how ``stats zdense`` rejects most n.  The
-table is immutable after construction and safe to share between worker
-processes.
+Factorizations come from one shared ``SpfTable`` through ``prime_powers``,
+which splits one n into its prime powers.  The table is immutable after
+construction and safe to share between worker processes.  Three sieves need
+no table: ``primes_up_to`` lists the primes up to a limit from one byte per
+odd number, ``prime_power_sieve`` tabulates a function fixed by its values on
+prime powers for every n up to a limit, and ``chain_sieve`` settles a prime
+chain for every n up to a limit by slice copies, which is how
+``stats zdense`` rejects most n.  A value function that factors q - 1 or
+lambda(q^e) reads its own table.
 """
 from __future__ import annotations
 
@@ -17,9 +17,8 @@ import os
 from array import array
 from dataclasses import dataclass
 from collections import Counter
-from itertools import compress, count, islice, repeat
-from math import gcd, isqrt, lcm
-from operator import eq
+from itertools import compress, count, repeat
+from math import gcd, isqrt, lcm, log
 from typing import Callable, Iterable, Iterator
 
 from .errors import CapacityError
@@ -129,7 +128,6 @@ def prime_powers(n: int, spf: array) -> Iterator[tuple[int, int]]:
 
 def prime_power_sieve(
     limit: int,
-    table: SpfTable,
     value: Callable[[int, int], int],
     combine: Callable[[int, int], int],
     unit: int = 1,
@@ -155,20 +153,23 @@ def prime_power_sieve(
     j + 1 is at most one of 2^j, and a sum of j - 1 + Omega(r - 1) at most
     log2 of the product.
 
-    The head f[1..limit // q^e] is read through a memoryview, so the walk
-    holds the table and one temporary of at most limit // 2 entries, plus
-    the 1/16 + 7 an array over-allocates while growing; it charges that.
+    The primes come from ``primes_up_to``, whose flags are freed before the
+    table is allocated.  The head f[1..limit // q^e] is read through a
+    memoryview, so the walk holds the table, the primes and one temporary
+    of at most limit // 2 entries, plus the 1/16 + 7 an array
+    over-allocates while growing; it charges that, and 1 KiB for the
+    objects' headers.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    if limit > table.limit:
-        raise ValueError(f"limit {limit} exceeds spf table limit {table.limit}")
+    primes = primes_up_to(limit)
     half = limit // 2
-    charge_budget(4 * (limit + 1 + half + half // 16 + 7), "prime-power sieve")
+    charge = 4 * (limit + 1 + half + half // 16 + 7 + len(primes)) + 1024
+    charge_budget(charge, "prime-power sieve")
     values = array("I", [unit]) * (limit + 1)
     values[0] = 0
     with memoryview(values) as head:
-        for q in primes_up_to(limit, table):
+        for q in primes:
             qe = q
             e = 1
             while qe <= limit:
@@ -183,12 +184,34 @@ def prime_power_sieve(
     return values
 
 
-def primes_up_to(limit: int, table: SpfTable) -> Iterator[int]:
-    """The primes q <= limit, increasing: the indices with spf[q] == q."""
-    if limit > table.limit:
-        raise ValueError(f"limit {limit} exceeds spf table limit {table.limit}")
-    index = range(2, limit + 1)
-    return compress(index, map(eq, islice(table.spf, 2, limit + 1), index))
+def primes_up_to(limit: int) -> array:
+    """The primes q <= limit, increasing, as one 32-bit array.
+
+    A sieve of Eratosthenes over the odd numbers, one byte each: flags[i]
+    stands for 2i + 1, except flags[0], which stands for 2, the one even
+    prime, in place of 1.  Each odd prime r <= sqrt(limit), increasing,
+    zeroes the flags of its odd multiples from r^2 on by one slice write,
+    and ``compress`` reads the numbers left set.  The slice written for
+    r = 3 is a temporary of at most limit // 6 bytes.  The output holds
+    pi(limit) < 1.25506 * limit / log(limit) entries (Rosser and
+    Schoenfeld, Illinois J. Math. 1962), plus the 1/16 + 7 an array
+    over-allocates while growing.  The flags, that temporary and that
+    output are charged together.
+    """
+    if limit < 2:
+        return array("I")
+    if limit >= 1 << 32:
+        raise CapacityError(f"limit {limit} does not fit 32-bit prime entries")
+    size = (limit + 1) // 2
+    most = int(1.25506 * limit / log(limit)) + 1
+    charge_budget(size + limit // 6 + 4 * (most + most // 16 + 7), "prime sieve")
+    flags = bytearray(b"\x01") * size
+    for r in range(3, isqrt(limit) + 1, 2):
+        if flags[r // 2]:
+            flags[r * r // 2 :: r] = bytes(len(range(r * r // 2, size, r)))
+    primes = array("I", compress(range(1, limit + 1, 2), flags))
+    primes[0] = 2
+    return primes
 
 
 def chain_sieve(

@@ -13,10 +13,10 @@ from its parent's verdict where a lemma allows, and otherwise runs the
 sorted-degree greedy over ``practicality.merged_degree_weights`` (the
 kernel ``cyclopract test`` also uses) on the prime powers on its stack.
 
-Over F_p the keys are computed at the primes alone
-(``orders.prime_order_keys``); no per-n order table is built.  Over Z a
-child prime is at most min(m + 2, N / m), so the walk needs only the primes
-up to sqrt(N) + 2 and no table of N entries.
+Over F_p the keys are computed at the chain primes alone
+(``orders.prime_order_keys``, from one byte sieve of the primes up to N); no
+per-n table is built.  Over Z a child prime is at most min(m + 2, N / m), so
+the walk needs only the primes up to sqrt(N) + 2.
 
 ``parts`` deals the depth-2 subtrees out like cards, in walk order, and
 walks the parts in a fork pool; per-part, per-checkpoint counts merge by
@@ -25,19 +25,16 @@ addition, so the output is identical for any number of parts.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
-from array import array
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
 from math import isqrt, lcm, log
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-from .arith import SpfTable, build_spf_table, primes_up_to
+from .arith import primes_up_to
 from .errors import CapacityError
 from .orders import lifted_orders, prime_order_keys
 from .practicality import greedy_gap, merged_degree_weights
@@ -230,29 +227,21 @@ def _walk(
     descend(1, True, 0)
 
 
-def _chain_keys(top: int, primes: Iterable[int], key: Callable[[int], int]) -> dict[int, int]:
-    """key(q) for the primes a chain to top can use: those with
-    key(q) <= top // q + 1, since a node m * q^e <= top has m <= top // q.
-    A few hundred primes are left at top = 10^6."""
-    return {q: k for q in primes if (k := key(q)) <= top // q + 1}
-
-
-def _p_walk(p: int, top: int, spf_table: SpfTable) -> Callable[..., None]:
-    """The walk over F_p: key(q) = ord(p mod q) from ``prime_order_keys``,
-    which is exact wherever it is at most top // q + 1, so at every chain
-    prime; the primes are read off ``spf_table``."""
-    primes = array("I", primes_up_to(top, spf_table))
-    keys = _chain_keys(top, primes, prime_order_keys(p, top, primes, spf_table).__getitem__)
+def _p_walk(p: int, top: int) -> Callable[..., None]:
+    """The walk over F_p: key(q) = ord(p mod q) at the chain primes, from
+    ``prime_order_keys``."""
+    keys = prime_order_keys(p, top)
     return partial(_walk, top, keys, _p_orders(p, keys), lcm)
 
 
 def _phi_walk(top: int) -> Callable[..., None]:
-    """The walk over Z: key(q) = q - 1 over the primes up to
-    bound = isqrt(top) + 2.  A chain prime q after a cofactor m has
-    q <= m + 2 and q <= top / m, so q <= bound."""
-    bound = isqrt(top) + 2
-    primes = primes_up_to(bound, build_spf_table(bound))
-    return partial(_walk, top, _chain_keys(top, primes, lambda q: q - 1), _phi_ladder, mul)
+    """The walk over Z: key(q) = q - 1 at the primes with
+    q - 1 <= top // q + 1, since a node m * q^e <= top has m <= top // q.
+    A chain prime q after a cofactor m has q <= m + 2 and q <= top / m, so
+    q <= isqrt(top) + 2 and no larger prime is listed."""
+    primes = primes_up_to(isqrt(top) + 2)
+    keys = {q: q - 1 for q in primes if q - 1 <= top // q + 1}
+    return partial(_walk, top, keys, _phi_ladder, mul)
 
 
 def _count_part(
@@ -285,6 +274,11 @@ def usable_cpu_count() -> int:
 
 
 def _run_workers(count_part: Callable[[int], list[int]], parts: int) -> list[list[int]]:
+    # Imported here, so that a count at --parts 1, and every other command,
+    # starts without loading the pool's modules.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     _WORKER_STATE["count_part"] = count_part
     try:
         workers = min(parts, usable_cpu_count())
@@ -296,11 +290,7 @@ def _run_workers(count_part: Callable[[int], list[int]], parts: int) -> list[lis
 
 
 def _count(
-    p: int | None,
-    limit: int,
-    checkpoints: Sequence[int] | None,
-    parts: int,
-    spf_table: SpfTable | None = None,
+    p: int | None, limit: int, checkpoints: Sequence[int] | None, parts: int
 ) -> CountReport:
     """Exact counts at each checkpoint, over F_p or over Z when p is None:
     one walk of the chain tree to the last checkpoint, in ``parts`` parts,
@@ -311,16 +301,14 @@ def _count(
         raise ValueError(f"limit must be >= 2, got {limit}")
     cps = _resolve_checkpoints(limit, checkpoints)
     if limit >= 1 << 32:
-        # The F_p tables hold 32-bit entries; both counts share that range.
-        raise CapacityError(f"limit {limit} does not fit 32-bit table entries")
-    if p is None:
-        walk = _phi_walk(cps[-1])
-    else:
-        if spf_table is None:
-            spf_table = build_spf_table(limit)
-        walk = _p_walk(p, cps[-1], spf_table)
+        # The walk's node count grows about as N / log N; at 10^8 it takes
+        # about half a minute, so a limit like 1e400 would never end.
+        raise CapacityError(
+            f"limit {limit} is at or above 2^32; a count walk that far would not finish"
+        )
+    walk = _phi_walk(cps[-1]) if p is None else _p_walk(p, cps[-1])
     count_part = partial(_count_part, walk, cps, parts)
-    if parts > 1 and "fork" in multiprocessing.get_all_start_methods():
+    if parts > 1 and hasattr(os, "fork"):
         partials = _run_workers(count_part, parts)
     else:
         partials = [count_part(part) for part in range(parts)]
@@ -334,12 +322,11 @@ def count_p_practical_partitioned(
     limit: int,
     checkpoints: Sequence[int] | None = None,
     parts: int = 1,
-    *,
-    spf_table: SpfTable | None = None,
 ) -> CountReport:
     """Exact F_p counts at each checkpoint; output does not depend on parts.
-    The chain keys are computed at the primes alone (``prime_order_keys``)."""
-    return _count(p, limit, checkpoints, parts, spf_table)
+    The chain keys are computed at the chain primes alone
+    (``prime_order_keys``); no table of limit entries is built."""
+    return _count(p, limit, checkpoints, parts)
 
 
 def count_phi_practical(

@@ -5,24 +5,26 @@ chain keys of a count.
 divisor of n coprime to a.  ``sieve_order_star`` computes it for every n up
 to a limit through ``prime_power_sieve``, as the lcm of prime-power orders;
 the ``orders``, ``ratios`` and ``smallorder`` commands read that table.  A
-count needs the orders at the primes alone (``prime_order_keys``), and
+count needs the orders at its chain primes alone (``prime_order_keys``), and
 ``lifted_orders`` lifts an order mod q to the powers of q.
 """
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
-from math import gcd, lcm, prod
-from typing import Iterable
+from itertools import filterfalse, islice
+from math import gcd, lcm
 
 from .arith import (
     SpfTable,
+    build_spf_table,
     carmichael_lambda,
-    charge_budget,
     factorize_trial,
     is_prime,
     prime_power_sieve,
     prime_powers,
+    primes_up_to,
 )
 
 
@@ -133,6 +135,8 @@ def sieve_order_star(a: int, limit: int, table: SpfTable) -> OrderTable:
     """
     if a < 2:
         raise ValueError(f"a must be >= 2, got {a}")
+    if limit > table.limit:
+        raise ValueError(f"limit {limit} exceeds spf table limit {table.limit}")
     spf = table.spf
 
     def order_mod_prime_power(q: int, e: int) -> int:
@@ -140,39 +144,56 @@ def sieve_order_star(a: int, limit: int, table: SpfTable) -> OrderTable:
             return 1
         return lifted_orders(a, q, e, _prime_order_sieved(a, q, spf))[-1]
 
-    values = prime_power_sieve(limit, table, order_mod_prime_power, lcm)
+    values = prime_power_sieve(limit, order_mod_prime_power, lcm)
     return OrderTable(base=a, limit=limit, values=values)
 
 
-# ord(a mod q) <= s exactly when q divides a^j - 1 for some j <= s.
+# ord(p mod q) <= s exactly when q divides p^j - 1 for some j <= s.
 _STAMP_SPAN = 64
 
 
-def prime_order_keys(a: int, limit: int, primes: Iterable[int], table: SpfTable) -> array:
-    """Chain keys for a count up to limit, as one 32-bit array indexed by q.
+def prime_order_keys(p: int, top: int) -> dict[int, int]:
+    """The chain keys of a count to top over F_p, for a prime p: {q: k} for
+    every prime q <= top with k = ord(p mod q) <= top // q + 1, and k = 1
+    at q = p.
 
-    At each prime q in ``primes`` the key is ord(a mod q) (1 where q
-    divides a) whenever that order is at most limit // q + 1; otherwise it
-    is some value above that bound.  0 at every other index.
+    No other prime can sit in a chain: a node m * q^e <= top has cofactor
+    m <= top // q, and the chain admits q after m only when its key is at
+    most m + 1.  The key at q = p is 1, which is within the bound.
 
-    A cofactor of q below the limit is at most limit // q, so the chain
-    rejects every multiple of q whose order exceeds limit // q + 1, and any
-    key above that bound does the same; every prime of a survivor thus has
-    its exact order.  That settles most primes with one remainder: for
-    q > limit / 64 the bound is at most 64, ord(a mod q) <= 64 exactly when
-    q divides the product of a^j - 1 over j <= 64, and otherwise the key is
-    limit // q + 2.  The other orders come from ``_prime_order_sieved``,
-    q - 1 factored through the sieve.
+    The other primes split at s = top // 64.
+    - q <= s: the full order, with q - 1 factored through an SPF table of
+      s entries, kept when it is within the bound.
+    - q > s: then q >= s + 1 > top / 64, so k = top // q is at most 63 and
+      the bound k + 1 at most 64.  The primes with top // q = k form the block
+      top // (k + 1) < q <= top // k, and k = 1..63 covers every q > s.
+      Within block k, for q != p, ord(p mod q) <= k + 1 exactly when q
+      divides the stamp, the product of p^j - 1 over j = 1..k + 1: a prime
+      divides the product exactly when it divides some factor p^j - 1,
+      that is when its order divides some j <= k + 1, that is when the
+      order is at most k + 1.  So the stamp filter keeps exactly the chain
+      primes of the block, and the order of each is found in at most 64
+      multiplications.  q = p is never kept, as every p^j - 1 is -1 mod p;
+      it has its key already.
+    The stamp of block k has about (k + 1)^2 / 2 * log2(p) bits, so the
+    many primes of the first blocks are tested against a short stamp.
     """
-    charge_budget(4 * (limit + 1), "prime order keys")
-    keys = array("I", [0]) * (limit + 1)
-    stamp = prod(a**j - 1 for j in range(1, _STAMP_SPAN + 1))
-    spf = table.spf
-    for q in primes:
-        if a % q == 0:
-            keys[q] = 1
-        elif limit // q < _STAMP_SPAN and stamp % q:
-            keys[q] = limit // q + 2
-        else:
-            keys[q] = _prime_order_sieved(a, q, spf)
+    primes = primes_up_to(top)
+    small = top // _STAMP_SPAN
+    spf = build_spf_table(max(small, 2)).spf
+    keys = {p: 1} if p <= top else {}
+    for q in islice(primes, bisect_right(primes, small)):
+        if q != p and (k := _prime_order_sieved(p, q, spf)) <= top // q + 1:
+            keys[q] = k
+    stamp = p - 1
+    for k in range(1, _STAMP_SPAN):
+        stamp *= p ** (k + 1) - 1
+        lo = bisect_right(primes, top // (k + 1))
+        for q in filterfalse(stamp.__mod__, islice(primes, lo, bisect_right(primes, top // k))):
+            order = 1
+            x = p % q
+            while x != 1:
+                x = x * p % q
+                order += 1
+            keys[q] = order
     return keys

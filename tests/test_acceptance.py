@@ -11,7 +11,6 @@ from contextlib import contextmanager
 import pytest
 
 from cyclopract import (
-    build_spf_table,
     count_p_practical_partitioned,
     coverage_check,
     degree_multiset,
@@ -56,20 +55,13 @@ def criterion(number, name):
 
 
 @pytest.fixture(scope="module")
-def spf10m():
-    return build_spf_table(10**7)
-
-
-@pytest.fixture(scope="module")
-def reports_1e7(spf10m):
+def reports_1e7():
     """Partitioned counts to 10^7 for p in {2, 3, 5}, with the chain keys
     from ``prime_order_keys`` as in ``cyclopract count``; shared by criteria 2-3."""
     reports = {}
     for p in (2, 3, 5):
         t0 = time.time()
-        reports[p] = count_p_practical_partitioned(
-            p, 10**7, DECADES_TO_7, parts=8, spf_table=spf10m
-        )
+        reports[p] = count_p_practical_partitioned(p, 10**7, DECADES_TO_7, parts=8)
         print(f"  p={p}: partitioned count {time.time() - t0:.0f}s")
     return reports
 
@@ -191,17 +183,13 @@ def test_criterion_7_witness_soundness(order_tables):
         assert violations == 0
 
 
-def test_criterion_8_partition_invariance(spf100k):
+def test_criterion_8_partition_invariance():
     with criterion(8, "byte-identical reports across parts 1/2/4/8 at 10^5"):
         renders = set()
         reports = []
         for parts in (1, 2, 4, 8):
             report = count_p_practical_partitioned(
-                2,
-                10**5,
-                [100, 1000, 10**4, 10**5],
-                parts=parts,
-                spf_table=spf100k,
+                2, 10**5, [100, 1000, 10**4, 10**5], parts=parts
             )
             reports.append(report)
             renders.add((render_csv(report), render_json(report)))

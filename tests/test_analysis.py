@@ -111,9 +111,9 @@ def test_count_z_dense_first_decade():
     assert count_z_dense(10, 2) == 5  # {1, 2, 4, 6, 8}
 
 
-def test_count_z_dense_matches_brute_force_at_1e5(spf100k):
+def test_count_z_dense_matches_brute_force_at_1e5():
     expected = sum(1 for n in range(1, 10**5 + 1) if brute_force_z_dense(n, 2))
-    assert count_z_dense(10**5, 2, spf100k) == expected
+    assert count_z_dense(10**5, 2) == expected
 
 
 @pytest.mark.parametrize("z", [2, Fraction(5, 2), 3, 10])
@@ -121,18 +121,18 @@ def test_z_dense_chain_matches_divisor_scan(spf100k, z):
     # The chain sieve that count_z_dense runs, the per-n chain and the
     # divisor scan agree on every n <= 10^5.
     num, den = z.as_integer_ratio()
-    ok = chain_sieve(10**5, primes_up_to(10**5, spf100k), lambda q: -(-q * den // num))
+    ok = chain_sieve(10**5, primes_up_to(10**5), lambda q: -(-q * den // num))
     assert ok[0] == 0
     for n in range(1, 10**5 + 1):
         dense = is_z_dense(n, z, spf100k)
         assert z_dense_chain(n, spf100k.spf, num, den) == dense, n
         assert bool(ok[n]) == dense, n
-    assert count_z_dense(10**5, z, spf100k) == ok.count(1)
+    assert count_z_dense(10**5, z) == ok.count(1)
 
 
-def test_count_z_dense_monotone(spf10k):
-    assert count_z_dense(500, 2, spf10k) <= count_z_dense(500, 3, spf10k)
-    assert count_z_dense(500, 2, spf10k) <= count_z_dense(1000, 2, spf10k)
+def test_count_z_dense_monotone():
+    assert count_z_dense(500, 2) <= count_z_dense(500, 3)
+    assert count_z_dense(500, 2) <= count_z_dense(1000, 2)
 
 
 def test_a_q_examples():
@@ -178,7 +178,7 @@ def test_a_q_validates_arguments():
 def test_ratio_stats_small(spf100k, order_tables):
     stats = lambda_order_ratio_stats(2, 100, spf100k, order_tables(2, 100))
     # n = 7: lambda = 6, order of 2 is 3, quotient 2, largest prime 2
-    lam = lambda_star_table(100, spf100k, skip_base=2)
+    lam = lambda_star_table(100, skip_base=2)
     assert lam[7] // order_tables(2, 100).values[7] == 2
     assert sum(stats.counts.values()) == 100
     assert stats.exceed_psi is None
@@ -192,9 +192,9 @@ def test_ratio_stats_psi_threshold(spf100k, order_tables):
     assert stats.exceed_psi == manual
 
 
-def test_ratio_is_always_integral(spf10k, order_tables):
+def test_ratio_is_always_integral(order_tables):
     values = order_tables(2, 10**4).values
-    lam = lambda_star_table(10**4, spf10k, skip_base=2)
+    lam = lambda_star_table(10**4, skip_base=2)
     for n in range(1, 10**4 + 1):
         assert lam[n] % values[n] == 0
 
@@ -231,15 +231,15 @@ def test_omega_phi_distribution_brute_force(spf100k):
     assert dist[0] == 2  # n = 1 and n = 2 both have phi = 1
 
 
-def test_tau_threshold_examples(spf10k):
-    assert tau_threshold_count(10, 4, spf10k) == 3  # {6, 8, 10}
-    assert tau_threshold_count(10, 1, spf10k) == 10
+def test_tau_threshold_examples():
+    assert tau_threshold_count(10, 4) == 3  # {6, 8, 10}
+    assert tau_threshold_count(10, 1) == 10
     assert tau_threshold_count(1, 1) == 1
 
 
-def test_tau_threshold_exhaustive(spf100k):
+def test_tau_threshold_exhaustive():
     expected = sum(1 for n in range(1, 10**5 + 1) if tau(factorize_trial(n)) >= 32)
-    assert tau_threshold_count(10**5, 32, spf100k) == expected
+    assert tau_threshold_count(10**5, 32) == expected
 
 
 def test_smooth_lambda_count(spf10k):
@@ -255,17 +255,17 @@ def test_smooth_lambda_count(spf10k):
     assert low <= high
 
 
-def test_ratio_bucket_one_for_primitive_roots(spf100k, order_tables):
+def test_ratio_bucket_one_for_primitive_roots(order_tables):
     # 2 is a primitive root mod 11: lambda = order = 10, quotient 1
-    lam = lambda_star_table(11, spf100k, skip_base=2)
+    lam = lambda_star_table(11, skip_base=2)
     assert lam[11] == order_tables(2, 11).values[11] == 10
 
 
 def test_counters_monotone_in_limit(spf10k, order_tables):
     table = order_tables(2, 2000)
     for small, large in ((500, 1000), (1000, 2000)):
-        assert count_z_dense(small, 2, spf10k) <= count_z_dense(large, 2, spf10k)
-        assert tau_threshold_count(small, 6, spf10k) <= tau_threshold_count(large, 6, spf10k)
+        assert count_z_dense(small, 2) <= count_z_dense(large, 2)
+        assert tau_threshold_count(small, 6) <= tau_threshold_count(large, 6)
         assert smooth_lambda_part_count(small, 3, 4, spf10k) <= smooth_lambda_part_count(
             large, 3, 4, spf10k
         )
@@ -322,8 +322,8 @@ def test_order_sieve_property(spf10k, limit, base):
 
 @settings(max_examples=20, deadline=None)
 @given(limits, st.none() | st.integers(2, 10))
-def test_lambda_star_sieve_property(spf10k, limit, skip_base):
-    values = lambda_star_table(limit, spf10k, skip_base=skip_base)
+def test_lambda_star_sieve_property(limit, skip_base):
+    values = lambda_star_table(limit, skip_base=skip_base)
     expected = [
         carmichael_lambda(factorize_trial(n if skip_base is None else coprime_part(n, skip_base)))
         for n in range(1, limit + 1)
@@ -333,9 +333,9 @@ def test_lambda_star_sieve_property(spf10k, limit, skip_base):
 
 @settings(max_examples=20, deadline=None)
 @given(limits, st.floats(1, 40))
-def test_tau_sieve_property(spf10k, limit, kappa):
+def test_tau_sieve_property(limit, kappa):
     expected = sum(1 for n in range(1, limit + 1) if reference_row(n)[0] >= kappa)
-    assert tau_threshold_count(limit, kappa, spf10k) == expected
+    assert tau_threshold_count(limit, kappa) == expected
 
 
 @settings(max_examples=20, deadline=None)

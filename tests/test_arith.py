@@ -237,24 +237,37 @@ def test_factorize_trial_beyond_trial_division():
 
 
 def test_prime_power_sieve_charges_table_and_temporary(monkeypatch):
-    # The table, and the temporary for q = 2 with an array's growth slack.
+    # The table, the temporary for q = 2 with an array's growth slack, the
+    # primes (168 up to 1000) and 1 KiB for object headers; at 10^5
+    # tracemalloc's peak stays within that charge.
     limit = 1000
-    table = build_spf_table(limit)
     half = limit // 2
-    charge = 4 * (limit + 1 + half + half // 16 + 7)
+    charge = 4 * (limit + 1 + half + half // 16 + 7 + 168) + 1024
     tau_of = lambda q, e: e + 1
     monkeypatch.setenv(MEM_BUDGET_ENV, str(charge - 1))
     with pytest.raises(CapacityError):
-        prime_power_sieve(limit, table, tau_of, operator.mul)
+        prime_power_sieve(limit, tau_of, operator.mul)
     monkeypatch.setenv(MEM_BUDGET_ENV, str(charge))
-    assert prime_power_sieve(limit, table, tau_of, operator.mul)[720] == 30
+    assert prime_power_sieve(limit, tau_of, operator.mul)[720] == 30
+    limit = 10**5
+    half = limit // 2
+    charge = 4 * (limit + 1 + half + half // 16 + 7 + 9592) + 1024
+    monkeypatch.setenv(MEM_BUDGET_ENV, str(charge))
+    tracemalloc.start()
+    try:
+        taus = prime_power_sieve(limit, tau_of, operator.mul)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert taus[83160] == 128
+    assert 4 * (limit + half) <= peak <= charge, peak
 
 
 def test_chain_sieve_charges_table_and_temporary(monkeypatch):
     # The table, the slice temporary of up to limit // 2 bytes, and 1 KiB for
     # object headers; tracemalloc's peak stays within that charge.
     limit = 10**5
-    primes = list(primes_up_to(limit, build_spf_table(limit)))
+    primes = list(primes_up_to(limit))
     half_up = lambda q: -(-q // 2)  # the chain of Z-dense with Z = 2
     charge = limit + 1 + limit // 2 + 1024
     monkeypatch.setenv(MEM_BUDGET_ENV, str(charge - 1))
@@ -270,6 +283,35 @@ def test_chain_sieve_charges_table_and_temporary(monkeypatch):
         tracemalloc.stop()
     assert len(ok) == limit + 1
     assert limit + limit // 2 <= peak <= charge, peak
+
+
+@pytest.mark.parametrize("limit", [*range(12), 97, 1000, 10**5])
+def test_primes_up_to_matches_spf_table(spf100k, limit):
+    primes = primes_up_to(limit)
+    assert primes.typecode == "I"
+    assert list(primes) == [q for q in range(2, limit + 1) if spf100k.spf[q] == q]
+
+
+def test_prime_sieve_charges_flags_temporary_and_output(monkeypatch):
+    # The odd flags, the slice temporary for r = 3, and the output with an
+    # array's growth slack, sized by pi(x) < 1.25506 x / log x; at 10^5
+    # tracemalloc's peak stays within that charge.
+    limit = 10**5
+    most = int(1.25506 * limit / math.log(limit)) + 1
+    charge = (limit + 1) // 2 + limit // 6 + 4 * (most + most // 16 + 7)
+    monkeypatch.setenv(MEM_BUDGET_ENV, str(charge - 1))
+    with pytest.raises(CapacityError):
+        primes_up_to(limit)
+    monkeypatch.setenv(MEM_BUDGET_ENV, str(charge))
+    primes_up_to(100)  # warm the call path before tracing
+    tracemalloc.start()
+    try:
+        primes = primes_up_to(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(primes) == 9592 <= most
+    assert limit // 2 + 4 * len(primes) <= peak <= charge, peak
 
 
 def test_memory_budget_enforced(monkeypatch):

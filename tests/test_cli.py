@@ -261,7 +261,8 @@ PHI_CSV_1E6 = (
 
 def test_phi_count_fits_a_small_budget(capsys, monkeypatch):
     # The phi walk reads the primes up to sqrt(N) + 2 only; the F_p count
-    # still builds tables of N entries and is refused.
+    # lists every prime up to N, about N bytes of sieve and output at 10^6,
+    # and is refused.
     monkeypatch.setenv("CYCLO_MEM_BUDGET_BYTES", "100000")
     code, out, err = run_cli(capsys, "count", "--phi", "--limit", "1e6")
     assert code == 0, err
@@ -270,6 +271,35 @@ def test_phi_count_fits_a_small_budget(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "budget" in err
+
+
+P2_CSV_1E6 = (
+    "X,count,ratio\n"
+    "100,34,1.565758\n"
+    "1000,243,1.678585\n"
+    "10000,1790,1.648651\n"
+    "100000,14703,1.692745\n"
+    "1000000,120276,1.661674\n"
+)
+
+
+def test_p_count_fits_a_budget_below_an_spf_table(capsys, monkeypatch):
+    # An SPF table to 10^6 alone is charged 6,000,006 bytes; the count lists
+    # its primes with a byte sieve and factors q - 1 below 10^6 / 64 only.
+    monkeypatch.setenv("CYCLO_MEM_BUDGET_BYTES", "1200000")
+    code, out, err = run_cli(capsys, "count", "--prime", "2", "--limit", "1e6")
+    assert code == 0, err
+    assert out == P2_CSV_1E6
+
+
+def test_p_count_sieves_to_the_last_checkpoint(capsys, monkeypatch):
+    # Nothing is sized by --limit: a walk to 100 fits 100 kB at any limit.
+    monkeypatch.setenv("CYCLO_MEM_BUDGET_BYTES", "100000")
+    code, out, err = run_cli(
+        capsys, "count", "--prime", "2", "--limit", "1e7", "--checkpoints", "1e2"
+    )
+    assert code == 0, err
+    assert out == "X,count,ratio\n100,34,1.565758\n"
 
 
 def test_checkpoint_above_limit_exits_1(capsys):
@@ -398,7 +428,7 @@ def test_huge_count_limit_is_a_capacity_error(capsys):
     code, out, err = run_cli(capsys, "count", "--phi", "--limit", "1e400")
     assert code == 1
     assert out == ""
-    assert "does not fit 32-bit table entries" in err
+    assert "a count walk that far would not finish" in err
 
 
 @pytest.mark.parametrize(

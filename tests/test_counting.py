@@ -45,9 +45,9 @@ def phi_chain(n, spf):
     return True
 
 
-def chain_walk(p, limit, spf_table):
+def chain_walk(p, limit):
     """The count path's walk of the chain tree, over F_p or over Z (p None)."""
-    return _phi_walk(limit) if p is None else _p_walk(p, limit, spf_table)
+    return _phi_walk(limit) if p is None else _p_walk(p, limit)
 
 
 def walked(walk, part=0, parts=1):
@@ -92,20 +92,20 @@ def test_phi_counts_nondecreasing(spf10k):
     assert counts == sorted(counts)
 
 
-def test_phi_counts_bounded_by_p_counts(spf10k):
+def test_phi_counts_bounded_by_p_counts():
     cps = [100, 1000, 10**4]
     phi_counts = count_phi_practical(10**4, cps).counts()
     for p in (2, 3, 5):
-        p_counts = count_p_practical_partitioned(p, 10**4, cps, spf_table=spf10k).counts()
+        p_counts = count_p_practical_partitioned(p, 10**4, cps).counts()
         assert all(fc <= pc for fc, pc in zip(phi_counts, p_counts))
 
 
-def test_p_count_small_checkpoints(spf10k):
-    report = count_p_practical_partitioned(2, 10**4, [100, 1000, 10**4], spf_table=spf10k)
+def test_p_count_small_checkpoints():
+    report = count_p_practical_partitioned(2, 10**4, [100, 1000, 10**4])
     assert report.counts() == [34, 243, 1790]
 
 
-def test_partition_invariance_small(spf10k):
+def test_partition_invariance_small():
     # The parts deal the depth-2 subtrees out; no split may move a count.
     cps = [100, 5000, 10**4]
     for kind in (2, 3, None):
@@ -114,24 +114,22 @@ def test_partition_invariance_small(spf10k):
             if kind is None:
                 report = count_phi_practical(10**4, cps, parts=parts)
             else:
-                report = count_p_practical_partitioned(
-                    kind, 10**4, cps, parts=parts, spf_table=spf10k
-                )
+                report = count_p_practical_partitioned(kind, 10**4, cps, parts=parts)
             if baseline is None:
                 baseline = report
             else:
                 assert report == baseline, (kind, parts)
         if kind is not None:
-            # As the CLI calls it: the count builds its own SPF table.
-            own_table = count_p_practical_partitioned(kind, 10**4, cps, parts=3)
-            assert own_table == baseline, kind
+            # A second call, which lists its own primes again, agrees.
+            again = count_p_practical_partitioned(kind, 10**4, cps, parts=3)
+            assert again == baseline, kind
 
 
-def test_stream_agrees_with_single_shot(spf100k, order_tables):
+def test_stream_agrees_with_single_shot(order_tables):
     # The count path (the walk of the chain tree) against the
     # divisor-by-divisor oracle, not against the shared kernel.
     table = order_tables(2, 10**5)
-    nodes = walked(chain_walk(2, 10**5, spf100k))
+    nodes = walked(chain_walk(2, 10**5))
     rng = random.Random(31337)
     for _ in range(10**4):
         n = rng.randint(1, 10**5)
@@ -155,8 +153,8 @@ def test_default_checkpoints_are_decades(spf10k):
     assert [row.X for row in report.rows] == [100, 1000, 10**4]
 
 
-def test_renderers_are_deterministic(spf10k):
-    report = count_p_practical_partitioned(2, 1000, [100, 1000], spf_table=spf10k)
+def test_renderers_are_deterministic():
+    report = count_p_practical_partitioned(2, 1000, [100, 1000])
     csv_text = render_csv(report)
     assert csv_text == "X,count,ratio\n100,34,1.565758\n1000,243,1.678585\n"
     assert render_csv(report) == csv_text
@@ -166,8 +164,8 @@ def test_renderers_are_deterministic(spf10k):
     assert "F_2(X)" in text and "1.565758" in text
 
 
-def test_report_metadata(spf10k):
-    rep_p = count_p_practical_partitioned(3, 1000, [1000], spf_table=spf10k)
+def test_report_metadata():
+    rep_p = count_p_practical_partitioned(3, 1000, [1000])
     assert (rep_p.kind, rep_p.base, rep_p.label()) == ("p", 3, "3")
     rep_phi = count_phi_practical(1000, [1000])
     assert (rep_phi.kind, rep_phi.base, rep_phi.label()) == ("phi", None, "phi")
@@ -176,7 +174,7 @@ def test_report_metadata(spf10k):
 
 
 def test_phi_stream_agrees_with_single_shot():
-    nodes = walked(chain_walk(None, 2000, None))
+    nodes = walked(chain_walk(None, 2000))
     for n in range(1, 2001):
         streamed = nodes.get(n, False)
         assert streamed == coverage_check(phi_degree_multiset(n)).practical, n
@@ -204,7 +202,7 @@ def test_chain_never_rejects_a_practical_n(spf100k, order_tables, p):
     # greedy's.
     spf = spf100k.spf
     ov = None if p is None else order_tables(p, 10**5).values
-    nodes = walked(chain_walk(p, 10**5, spf100k))
+    nodes = walked(chain_walk(p, 10**5))
     for n in range(1, 10**5 + 1):
         practical = unfiltered_greedy(n, spf100k, ov)
         passed = n in nodes
@@ -244,7 +242,7 @@ def test_memoized_decider_matches_plain_greedy(spf100k, order_tables, monkeypatc
     # and 7 visit disjoint node sets whose union is the whole walk.
     limit = 10**5
     ov = None if p is None else order_tables(p, limit).values
-    walk = chain_walk(p, limit, spf100k)
+    walk = chain_walk(p, limit)
     greedy_gap = counting.greedy_gap
     calls = 0
 
@@ -286,7 +284,7 @@ def test_cofactor_lemma_against_oracle(order_tables, spf100k, p):
         table = order_tables(p, limit)
         verdict = lambda n: coverage_check(degree_multiset(n, p, table)).practical
         delta = lambda qe, q: mult_order_star(p, qe)
-    primes = list(primes_up_to(limit, spf100k))
+    primes = list(primes_up_to(limit))
     kappas = {}
     cases = lifted = sharp = 0
     for m in range(1, 2001):

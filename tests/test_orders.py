@@ -11,7 +11,6 @@ from cyclopract import (
     prime_power_order,
     sieve_order_star,
 )
-from cyclopract.arith import primes_up_to
 from cyclopract.orders import prime_order_keys
 
 
@@ -125,9 +124,9 @@ def test_divisor_divisibility_and_monotone_ratio(a, spf10k, order_tables):
 
 
 @pytest.mark.parametrize("a", [2, 3, 5])
-def test_order_star_divides_lambda_of_coprime_part(a, spf10k, order_tables):
+def test_order_star_divides_lambda_of_coprime_part(a, order_tables):
     values = order_tables(a, 10**4).values
-    lam = lambda_star_table(10**4, spf10k, skip_base=a)
+    lam = lambda_star_table(10**4, skip_base=a)
     for n in range(1, 10**4 + 1):
         assert lam[n] % values[n] == 0
 
@@ -135,22 +134,27 @@ def test_order_star_divides_lambda_of_coprime_part(a, spf10k, order_tables):
 @pytest.mark.parametrize("a", [2, 3, 5, 7])
 @pytest.mark.parametrize("limit", [10, 64, 1000, 10**5])
 def test_prime_order_keys_contract(a, limit, spf100k, order_tables):
-    # At a prime q the key is ord*(a, q) whenever that order is at most
-    # limit // q + 1, the largest key a chain can pass with a cofactor at
-    # most limit // q, and some value above that bound otherwise; 0 off
-    # the primes.
-    primes = list(primes_up_to(limit, spf100k))
-    keys = prime_order_keys(a, limit, primes, spf100k)
+    # The keys are ord*(a, q) at exactly the primes q <= limit where that
+    # order is at most limit // q + 1, the largest key a chain can pass
+    # with a cofactor at most limit // q; ord*(a, a) = 1.
     orders = order_tables(a, limit).values
-    assert len(keys) == limit + 1
-    primes = set(primes)
-    for n in range(limit + 1):
-        if n not in primes:
-            assert keys[n] == 0, n
-        elif orders[n] <= limit // n + 1:
-            assert keys[n] == orders[n], n
-        else:
-            assert keys[n] > limit // n + 1, n
+    primes = [q for q in range(2, limit + 1) if spf100k.spf[q] == q]
+    expected = {q: orders[q] for q in primes if orders[q] <= limit // q + 1}
+    assert prime_order_keys(a, limit) == expected
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_prime_order_keys_every_top(p):
+    # Every top in 2..3000, so every block edge top // k of the stamp
+    # filter and every split top // 64, against orders by repeated
+    # multiplication.  q = p above top // 64 is never kept by the stamp
+    # filter and must still get key 1.
+    primes = [q for q in range(2, 3001) if all(q % d for d in range(2, math.isqrt(q) + 1))]
+    orders = {q: 1 if q == p else naive_order(p, q) for q in primes}
+    for top in range(2, 3001):
+        expected = {q: k for q, k in orders.items() if q <= top and k <= top // q + 1}
+        assert prime_order_keys(p, top) == expected, top
+    assert prime_order_keys(2, 100)[2] == 1
 
 
 def test_sieve_validates_inputs(spf10k):
