@@ -97,14 +97,6 @@ def omega_phi_threshold(X: int) -> float:
     return 110.0 * log(log(X)) ** 2
 
 
-def _require_spf(limit: int, table: SpfTable | None) -> SpfTable:
-    if table is None:
-        return build_spf_table(max(limit, 2))
-    if table.limit < limit:
-        raise ValueError(f"spf table limit {table.limit} below required {limit}")
-    return table
-
-
 def _ratio_parts(z) -> tuple[int, int]:
     num, den = z.as_integer_ratio()
     if num <= 0:
@@ -194,7 +186,7 @@ def lambda_star_table(limit: int, skip_base: int | None = None) -> array:
     of n, 1 where q divides skip_base; skip_base None gives plain lambda(n).
     """
 
-    def lambda_coprime(q: int, e: int) -> int:
+    def lambda_coprime(q: int, e: int, _: int) -> int:
         return 1 if skip_base is not None and skip_base % q == 0 else lambda_prime_power(q, e)
 
     return prime_power_sieve(limit, lambda_coprime, lcm)
@@ -214,24 +206,26 @@ class RatioStats:
 def lambda_order_ratio_stats(
     a: int,
     limit: int,
-    spf_table: SpfTable,
     order_table: OrderTable,
     psi: float | None = None,
 ) -> RatioStats:
     """Largest prime factor of lambda(n_(a))/order_star(a, n) for each n.
 
     The quotient uses lambda of the coprime part so it is always an integer
-    (the order divides that lambda).  P(1) = 1 lands in bucket 1.
+    (the order divides that lambda).  P(1) = 1 lands in bucket 1.  Both
+    tables are read through memoryviews, and only the distinct quotients
+    (547 at 10^6 for a = 2) are factored, by trial division.
     """
     if order_table.base != a:
         raise ValueError(f"order table base {order_table.base} does not match a={a}")
-    if order_table.limit < limit or spf_table.limit < limit:
-        raise ValueError("tables do not cover the requested limit")
+    if order_table.limit < limit:
+        raise ValueError(f"order table limit {order_table.limit} below {limit}")
     lam = lambda_star_table(limit, skip_base=a)
-    spf = spf_table.spf
+    orders = memoryview(order_table.values)[1 : limit + 1]
+    ratios = Counter(map(floordiv, memoryview(lam)[1:], orders))
     counts: dict[int, int] = {}
-    for ratio, c in Counter(map(floordiv, lam[1:], order_table.values[1 : limit + 1])).items():
-        biggest = max((q for q, _ in prime_powers(ratio, spf)), default=1)
+    for ratio, c in ratios.items():
+        biggest = max((q for q, _ in factorize_trial(ratio).factors), default=1)
         counts[biggest] = counts.get(biggest, 0) + c
     exceed = None
     if psi is not None:
@@ -245,27 +239,31 @@ def small_order_count(a: int, limit: int, bound, order_table: OrderTable) -> int
         raise ValueError(f"order table base {order_table.base} does not match a={a}")
     if order_table.limit < limit:
         raise ValueError(f"order table limit {order_table.limit} below {limit}")
-    values = order_table.values[1 : limit + 1]
     count = 0
-    for v in values:
+    for v in memoryview(order_table.values)[1 : limit + 1]:
         if v <= bound:
             count += 1
     return count
 
 
-def omega_phi_distribution(limit: int, table: SpfTable | None = None) -> dict[int, int]:
+def omega_phi_distribution(limit: int) -> dict[int, int]:
     """Histogram of Omega(phi(n)) for n <= limit.
 
     Omega(phi(q^e)) = e - 1 + Omega(q - 1) and Omega(phi) is additive over
     coprime factors, so ``prime_power_sieve`` with + tabulates it.
     """
-    table = _require_spf(limit, table)
-    spf = table.spf
 
-    def omega_phi_prime_power(q: int, e: int) -> int:
-        return e - 1 + sum(k for _, k in prime_powers(q - 1, spf))
+    def omega_q_minus_1(q: int, spf: array) -> int:
+        """Omega(q - 1), the sum of the exponents of q - 1."""
+        return sum(k for _, k in prime_powers(q - 1, spf))
 
-    return dict(Counter(prime_power_sieve(limit, omega_phi_prime_power, add, unit=0)[1:]))
+    def omega_phi_prime_power(q: int, e: int, omega: int) -> int:
+        """Omega(phi(q^e)) from omega = Omega(q - 1): phi(q^e) is
+        q^(e - 1) (q - 1), and Omega is additive over products."""
+        return e - 1 + omega
+
+    table = prime_power_sieve(limit, omega_phi_prime_power, add, unit=0, per_prime=omega_q_minus_1)
+    return dict(Counter(memoryview(table)[1:]))
 
 
 def omega_phi_excess(dist: dict[int, int], X: int) -> int:
@@ -279,7 +277,7 @@ def tau_threshold_count(limit: int, kappa) -> int:
     """#{n <= limit : tau(n) >= kappa}; tau by ``prime_power_sieve`` with *."""
     if kappa < 1:
         raise ValueError(f"kappa must be >= 1, got {kappa}")
-    taus = Counter(prime_power_sieve(limit, lambda q, e: e + 1, mul)[1:])
+    taus = Counter(memoryview(prime_power_sieve(limit, lambda q, e, _: e + 1, mul))[1:])
     return sum(c for t, c in taus.items() if t >= kappa)
 
 
@@ -290,9 +288,7 @@ def tau_bound_ratio(limit: int, kappa, count: int) -> float:
     return count / (limit * log(limit) / kappa)
 
 
-def smooth_lambda_part_count(
-    limit: int, bound: int, threshold, table: SpfTable | None = None
-) -> int:
+def smooth_lambda_part_count(limit: int, bound: int, threshold) -> int:
     """#{n <= limit : the bound-smooth part of lambda(n) exceeds threshold}.
 
     The smooth part of an lcm is the lcm of the smooth parts, so
@@ -301,16 +297,26 @@ def smooth_lambda_part_count(
     """
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
-    table = _require_spf(limit, table)
-    spf = table.spf
 
-    def smooth_lambda_prime_power(q: int, e: int) -> int:
+    def smooth_q_minus_1(q: int, spf: array) -> int:
+        """The bound-smooth part of q - 1: its prime powers come in
+        increasing order, so the first prime above bound ends it."""
         part = 1
-        for r, k in prime_powers(lambda_prime_power(q, e), spf):
+        for r, k in prime_powers(q - 1, spf):
             if r > bound:
                 break
             part *= r**k
         return part
 
-    parts = Counter(prime_power_sieve(limit, smooth_lambda_prime_power, lcm)[1:])
+    def smooth_lambda_prime_power(q: int, e: int, part: int) -> int:
+        """The bound-smooth part of lambda(q^e) from part, that of q - 1.
+        For odd q, lambda(q^e) = q^(e - 1) (q - 1) with q prime to q - 1, so
+        its smooth part is part times q^(e - 1) when q <= bound and part
+        otherwise.  lambda(2^e) is a power of 2, and 2 <= bound."""
+        if q == 2:
+            return lambda_prime_power(2, e)
+        return part * q ** (e - 1) if q <= bound else part
+
+    table = prime_power_sieve(limit, smooth_lambda_prime_power, lcm, per_prime=smooth_q_minus_1)
+    parts = Counter(memoryview(table)[1:])
     return sum(c for part, c in parts.items() if part > threshold)

@@ -8,8 +8,9 @@ no table: ``primes_up_to`` lists the primes up to a limit from one byte per
 odd number, ``prime_power_sieve`` tabulates a function fixed by its values on
 prime powers for every n up to a limit, and ``chain_sieve`` settles a prime
 chain for every n up to a limit by slice copies, which is how
-``stats zdense`` rejects most n.  A value function that factors q - 1 or
-lambda(q^e) reads its own table.
+``stats zdense`` rejects most n.  A value that depends on the factors of
+q - 1 is computed once per prime, in the prime-power sieve's per-prime pass,
+whose SPF table is freed before the sieve's own table is allocated.
 """
 from __future__ import annotations
 
@@ -128,17 +129,26 @@ def prime_powers(n: int, spf: array) -> Iterator[tuple[int, int]]:
 
 def prime_power_sieve(
     limit: int,
-    value: Callable[[int, int], int],
+    value: Callable[[int, int, int], int],
     combine: Callable[[int, int], int],
     unit: int = 1,
+    per_prime: Callable[[int, array], int] | None = None,
 ) -> array:
     """f(n) for every n <= limit as one 32-bit array, where f(1) = unit and
-    f(q^e * m) = combine(f(m), value(q, e)) for q prime not dividing m;
-    ``unit`` must be the identity of ``combine``.  Entry 0 is 0.
+    f(q^e * m) = combine(f(m), value(q, e, w)) for q prime not dividing m,
+    with w = per_prime(q, spf), or 0 when ``per_prime`` is None; ``unit``
+    must be the identity of ``combine``.  Entry 0 is 0.
+
+    The per-prime pass: ``per_prime`` reads the factorization of q - 1 off
+    ``spf``, an SPF table to limit - 1 (a prime's q - 1 is below limit),
+    and its values fill one 32-bit array aligned with the primes.  The
+    table is freed before the sieve's own table is allocated, so no table
+    of limit entries is held next to it, and each value(q, e, w) reads w
+    by the prime's position in the walk.
 
     The walk of ``chain_sieve``: for each prime q, increasing, and each
     q^e <= limit, e ascending, one slice write sets f[q^e * m] =
-    combine(f[m], value(q, e)) for every m, or copies f[m] when the value
+    combine(f[m], value(q, e, w)) for every m, or copies f[m] when the value
     is the unit.  Proof sketch: the last write to n > 1 is made by its
     largest prime q at its exact exponent e, n = q^e * m, and f[m] is final
     by then, since every prime of m is smaller; by induction f(n) folds
@@ -151,30 +161,40 @@ def prime_power_sieve(
     these five uses it is at most the index and fits 32 bits: an lcm of
     divisors of the lambda(r^j) divides lambda of their lcm, a product of
     j + 1 is at most one of 2^j, and a sum of j - 1 + Omega(r - 1) at most
-    log2 of the product.
+    log2 of the product.  The per-prime values of those uses, ord(a mod q),
+    Omega(q - 1) and a divisor of q - 1, are below q.
 
     The primes come from ``primes_up_to``, whose flags are freed before the
     table is allocated.  The head f[1..limit // q^e] is read through a
-    memoryview, so the walk holds the table, the primes and one temporary
-    of at most limit // 2 entries, plus the 1/16 + 7 an array
-    over-allocates while growing; it charges that, and 1 KiB for the
-    objects' headers.
+    memoryview, so the walk holds the table, the primes, the per-prime
+    values and one temporary of at most limit // 2 entries, plus the
+    1/16 + 7 an array over-allocates while growing (the temporary and the
+    per-prime values grow); it charges that, and 1 KiB for the objects'
+    headers.  The SPF table charges itself.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     primes = primes_up_to(limit)
     half = limit // 2
-    charge = 4 * (limit + 1 + half + half // 16 + 7 + len(primes)) + 1024
-    charge_budget(charge, "prime-power sieve")
+    held = limit + 1 + half + half // 16 + 7 + len(primes)
+    if per_prime is not None:
+        held += len(primes) + len(primes) // 16 + 7
+    charge_budget(4 * held + 1024, "prime-power sieve")
+    if per_prime is None:
+        weights = repeat(0)
+    else:
+        spf = build_spf_table(max(limit - 1, 2)).spf
+        weights = array("I", map(per_prime, primes, repeat(spf)))
+        del spf
     values = array("I", [unit]) * (limit + 1)
     values[0] = 0
     with memoryview(values) as head:
-        for q in primes:
+        for q, w in zip(primes, weights):
             qe = q
             e = 1
             while qe <= limit:
                 top = limit // qe
-                v = value(q, e)
+                v = value(q, e, w)
                 if v == unit:
                     values[qe::qe] = values[1 : top + 1]
                 else:

@@ -28,7 +28,7 @@ from .analysis import (
     tau_bound_ratio,
     tau_threshold_count,
 )
-from .arith import MILLER_RABIN_PROVEN_BELOW, build_spf_table, is_prime
+from .arith import MILLER_RABIN_PROVEN_BELOW, is_prime
 from .counting import (
     count_p_practical_partitioned,
     count_phi_practical,
@@ -227,8 +227,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_orders(args) -> int:
-    spf = build_spf_table(max(args.limit, 2))
-    values = sieve_order_star(args.base, args.limit, spf).values
+    values = sieve_order_star(args.base, args.limit).values
     rows = (f"{d},{values[d]}\n" for d in range(1, args.limit + 1))
     _emit(chain(("d,order_star\n",), rows), args.out)
     return 0
@@ -269,10 +268,9 @@ def _stats_payload(args) -> tuple[dict, list[tuple[str, object, object]]]:
         rows = [("aq_prime", p, order) for p, order in pairs]
     elif scanner == "ratios":
         _require(scanner, base=args.base)
-        spf = build_spf_table(max(limit, 2))
-        orders = sieve_order_star(args.base, limit, spf)
+        orders = sieve_order_star(args.base, limit)
         psi = args.psi if args.psi is not None else (config.psi if config else None)
-        stats = lambda_order_ratio_stats(args.base, limit, spf, orders, psi=psi)
+        stats = lambda_order_ratio_stats(args.base, limit, orders, psi=psi)
         counts = dict(sorted(stats.counts.items()))
         result = {"base": args.base, "counts": counts, "exceed_psi": stats.exceed_psi}
         rows = [("ratio_largest_prime", k, v) for k, v in counts.items()]
@@ -284,8 +282,7 @@ def _stats_payload(args) -> tuple[dict, list[tuple[str, object, object]]]:
         if bound is None and config is not None:
             bound = config.small_order_bound()
         _require(scanner, bound=bound)
-        spf = build_spf_table(max(limit, 2))
-        orders = sieve_order_star(args.base, limit, spf)
+        orders = sieve_order_star(args.base, limit)
         count = small_order_count(args.base, limit, bound, orders)
         result = {"base": args.base, "bound": bound, "count": count}
         rows = [

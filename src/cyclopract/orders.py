@@ -17,13 +17,11 @@ from itertools import filterfalse, islice
 from math import gcd, lcm
 
 from .arith import (
-    SpfTable,
     build_spf_table,
     carmichael_lambda,
     factorize_trial,
     is_prime,
     prime_power_sieve,
-    prime_powers,
     primes_up_to,
 )
 
@@ -120,31 +118,51 @@ def mult_order_star(a: int, n: int) -> int:
 
 
 def _prime_order_sieved(a: int, q: int, spf: array) -> int:
-    # Order of a mod prime q, with q-1 factored through the shared sieve.
-    return _shrink_exponent(a, q, q - 1, (r for r, _ in prime_powers(q - 1, spf)))
+    """ord(a mod q) for a prime q not dividing a, with q - 1 split through
+    ``spf``, an SPF table to at least q - 1.
+
+    Proof sketch: the order divides t = q - 1 (Fermat) and stays a divisor
+    of t as t shrinks.  For each prime r of q - 1, t loses factors r while
+    a^(t/r) = 1 (mod q), that is while the order divides t/r; when that
+    fails, r^j exactly divides the order with r^j exactly dividing t, and
+    later steps strip only other primes.  So t ends as the order.  The
+    split is inline, one prime r at a time as the table gives it.
+    """
+    t = m = q - 1
+    while m > 1:
+        r = spf[m]
+        m //= r
+        while spf[m] == r:
+            m //= r
+        while t % r == 0 and pow(a, t // r, q) == 1:
+            t //= r
+    return t
 
 
-def sieve_order_star(a: int, limit: int, table: SpfTable) -> OrderTable:
+def sieve_order_star(a: int, limit: int) -> OrderTable:
     """order_star(a, d) for every d <= limit, as one 32-bit array.
 
     ``prime_power_sieve`` with lcm: order_star(a, d) is the lcm of
     ord(a mod q^e) over the prime powers q^e of d with q not dividing a, by
     the Chinese remainder theorem, and a prime dividing a contributes 1.
-    Each prime-power order is the order mod q (q - 1 factored through the
-    sieve) lifted to q^e, so a is never factored.
+    The per-prime value is ord(a mod q), found from the factors of q - 1 in
+    the sieve's per-prime pass, or 1 when q divides a; ``lifted_orders``
+    lifts it to q^e for e >= 2.  So a is never factored.
     """
     if a < 2:
         raise ValueError(f"a must be >= 2, got {a}")
-    if limit > table.limit:
-        raise ValueError(f"limit {limit} exceeds spf table limit {table.limit}")
-    spf = table.spf
 
-    def order_mod_prime_power(q: int, e: int) -> int:
-        if a % q == 0:
-            return 1
-        return lifted_orders(a, q, e, _prime_order_sieved(a, q, spf))[-1]
+    def order_mod_prime(q: int, spf: array) -> int:
+        """ord(a mod q), or 1 when q divides a (see ``_prime_order_sieved``)."""
+        return 1 if a % q == 0 else _prime_order_sieved(a, q, spf)
 
-    values = prime_power_sieve(limit, order_mod_prime_power, lcm)
+    def order_mod_prime_power(q: int, e: int, t: int) -> int:
+        """ord(a mod q^e) from t = ord(a mod q): ``lifted_orders`` multiplies
+        by q exactly where the previous order fails mod the next power, and
+        a prime dividing a contributes 1 at every e."""
+        return t if e == 1 or a % q == 0 else lifted_orders(a, q, e, t)[-1]
+
+    values = prime_power_sieve(limit, order_mod_prime_power, lcm, per_prime=order_mod_prime)
     return OrderTable(base=a, limit=limit, values=values)
 
 

@@ -14,14 +14,14 @@ def spf100k():
 
 
 @pytest.fixture(scope="session")
-def order_tables(spf100k):
-    """Memoized order-star tables keyed by (base, limit), limit <= 10^5."""
+def order_tables():
+    """Memoized order-star tables keyed by (base, limit)."""
     cache = {}
 
     def get(base: int, limit: int):
         key = (base, limit)
         if key not in cache:
-            cache[key] = sieve_order_star(base, limit, spf100k)
+            cache[key] = sieve_order_star(base, limit)
         return cache[key]
 
     return get

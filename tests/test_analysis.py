@@ -175,8 +175,8 @@ def test_a_q_validates_arguments():
         a_q_primes(2, 5, 3)  # bound below q
 
 
-def test_ratio_stats_small(spf100k, order_tables):
-    stats = lambda_order_ratio_stats(2, 100, spf100k, order_tables(2, 100))
+def test_ratio_stats_small(order_tables):
+    stats = lambda_order_ratio_stats(2, 100, order_tables(2, 100))
     # n = 7: lambda = 6, order of 2 is 3, quotient 2, largest prime 2
     lam = lambda_star_table(100, skip_base=2)
     assert lam[7] // order_tables(2, 100).values[7] == 2
@@ -186,8 +186,8 @@ def test_ratio_stats_small(spf100k, order_tables):
     assert stats.counts[1] >= 1
 
 
-def test_ratio_stats_psi_threshold(spf100k, order_tables):
-    stats = lambda_order_ratio_stats(2, 1000, spf100k, order_tables(2, 1000), psi=3.0)
+def test_ratio_stats_psi_threshold(order_tables):
+    stats = lambda_order_ratio_stats(2, 1000, order_tables(2, 1000), psi=3.0)
     manual = sum(c for prime, c in stats.counts.items() if prime >= 3.0)
     assert stats.exceed_psi == manual
 
@@ -214,15 +214,15 @@ def test_small_order_count_exhaustive(order_tables):
     )
 
 
-def test_omega_phi_threshold_and_excess(spf10k):
-    assert omega_phi_excess(omega_phi_distribution(10**4, spf10k), 10**4) == 0
+def test_omega_phi_threshold_and_excess():
+    assert omega_phi_excess(omega_phi_distribution(10**4), 10**4) == 0
     # The cutoff at X = 10^4 lies between 542 and 543.
     assert omega_phi_excess({0: 5, 542: 2, 543: 3, 700: 1}, 10**4) == 4
     assert omega_phi_threshold(10**4) > 500
 
 
-def test_omega_phi_distribution_brute_force(spf100k):
-    dist = omega_phi_distribution(10**5, spf100k)
+def test_omega_phi_distribution_brute_force():
+    dist = omega_phi_distribution(10**5)
     brute = {}
     for n in range(1, 10**5 + 1):
         om = big_omega(factorize_trial(euler_phi(factorize_trial(n))))
@@ -242,16 +242,16 @@ def test_tau_threshold_exhaustive():
     assert tau_threshold_count(10**5, 32) == expected
 
 
-def test_smooth_lambda_count(spf10k):
-    assert smooth_lambda_part_count(100, 2, 100, spf10k) == 0  # threshold >= N
+def test_smooth_lambda_count():
+    assert smooth_lambda_part_count(100, 2, 100) == 0  # threshold >= N
     expected = sum(
         1
         for n in range(1, 501)
         if smooth_part(carmichael_lambda(factorize_trial(n)), 2) > 4
     )
-    assert smooth_lambda_part_count(500, 2, 4, spf10k) == expected
-    low = smooth_lambda_part_count(500, 3, 8, spf10k)
-    high = smooth_lambda_part_count(500, 3, 2, spf10k)
+    assert smooth_lambda_part_count(500, 2, 4) == expected
+    low = smooth_lambda_part_count(500, 3, 8)
+    high = smooth_lambda_part_count(500, 3, 2)
     assert low <= high
 
 
@@ -261,16 +261,14 @@ def test_ratio_bucket_one_for_primitive_roots(order_tables):
     assert lam[11] == order_tables(2, 11).values[11] == 10
 
 
-def test_counters_monotone_in_limit(spf10k, order_tables):
+def test_counters_monotone_in_limit(order_tables):
     table = order_tables(2, 2000)
     for small, large in ((500, 1000), (1000, 2000)):
         assert count_z_dense(small, 2) <= count_z_dense(large, 2)
         assert tau_threshold_count(small, 6) <= tau_threshold_count(large, 6)
-        assert smooth_lambda_part_count(small, 3, 4, spf10k) <= smooth_lambda_part_count(
-            large, 3, 4, spf10k
-        )
+        assert smooth_lambda_part_count(small, 3, 4) <= smooth_lambda_part_count(large, 3, 4)
         assert small_order_count(2, small, 8, table) <= small_order_count(2, large, 8, table)
-        excess = [omega_phi_excess(omega_phi_distribution(x, spf10k), x) for x in (small, large)]
+        excess = [omega_phi_excess(omega_phi_distribution(x), x) for x in (small, large)]
         assert excess[0] <= excess[1]
 
 
@@ -315,8 +313,8 @@ def reference_row(n):
 
 @settings(max_examples=20, deadline=None)
 @given(limits, st.integers(2, 10))
-def test_order_sieve_property(spf10k, limit, base):
-    values = sieve_order_star(base, limit, spf10k).values
+def test_order_sieve_property(limit, base):
+    values = sieve_order_star(base, limit).values
     assert list(values[1:]) == [mult_order_star(base, n) for n in range(1, limit + 1)]
 
 
@@ -340,16 +338,16 @@ def test_tau_sieve_property(limit, kappa):
 
 @settings(max_examples=20, deadline=None)
 @given(limits)
-def test_omega_phi_sieve_property(spf10k, limit):
+def test_omega_phi_sieve_property(limit):
     expected = collections.Counter(reference_row(n)[1] for n in range(1, limit + 1))
-    assert omega_phi_distribution(limit, spf10k) == expected
+    assert omega_phi_distribution(limit) == expected
 
 
 @settings(max_examples=20, deadline=None)
 @given(limits, st.integers(2, 50), st.floats(0, 3000))
-def test_smooth_lambda_sieve_property(spf10k, limit, bound, threshold):
+def test_smooth_lambda_sieve_property(limit, bound, threshold):
     expected = sum(
         1 for n in range(1, limit + 1) if smooth_part(reference_row(n)[2], bound) > threshold
     )
-    assert smooth_lambda_part_count(limit, bound, threshold, spf10k) == expected
+    assert smooth_lambda_part_count(limit, bound, threshold) == expected
 

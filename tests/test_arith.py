@@ -243,7 +243,7 @@ def test_prime_power_sieve_charges_table_and_temporary(monkeypatch):
     limit = 1000
     half = limit // 2
     charge = 4 * (limit + 1 + half + half // 16 + 7 + 168) + 1024
-    tau_of = lambda q, e: e + 1
+    tau_of = lambda q, e, _: e + 1
     monkeypatch.setenv(MEM_BUDGET_ENV, str(charge - 1))
     with pytest.raises(CapacityError):
         prime_power_sieve(limit, tau_of, operator.mul)
@@ -261,6 +261,43 @@ def test_prime_power_sieve_charges_table_and_temporary(monkeypatch):
         tracemalloc.stop()
     assert taus[83160] == 128
     assert 4 * (limit + half) <= peak <= charge, peak
+
+
+def omega_q_minus_1(q, spf):
+    return sum(k for _, k in prime_powers(q - 1, spf))
+
+
+def test_prime_power_sieve_frees_its_spf_table_first(monkeypatch):
+    # With a per-prime value the charge adds the per-prime array, pi(N)
+    # entries with an array's growth slack.  The pass's SPF table is freed
+    # before the sieve's table is allocated: at 10^5 tracemalloc's peak
+    # stays within the charge, and below the SPF table and the sieve's
+    # table with its temporary held together.
+    omega_phi_of = lambda q, e, omega: e - 1 + omega
+    limit = 1000
+    half = limit // 2
+    charge = 4 * (limit + 1 + half + half // 16 + 7 + 168 + 168 + 168 // 16 + 7) + 1024
+    monkeypatch.setenv(MEM_BUDGET_ENV, str(charge - 1))
+    with pytest.raises(CapacityError):
+        prime_power_sieve(limit, omega_phi_of, operator.add, 0, omega_q_minus_1)
+    monkeypatch.setenv(MEM_BUDGET_ENV, str(charge))
+    values = prime_power_sieve(limit, omega_phi_of, operator.add, 0, omega_q_minus_1)
+    assert list(values[1:]) == [
+        big_omega(factorize_trial(euler_phi(factorize_trial(n)))) for n in range(1, limit + 1)
+    ]
+    limit = 10**5
+    half = limit // 2
+    charge = 4 * (limit + 1 + half + half // 16 + 7 + 2 * 9592 + 9592 // 16 + 7) + 1024
+    monkeypatch.setenv(MEM_BUDGET_ENV, str(charge))
+    tracemalloc.start()
+    try:
+        values = prime_power_sieve(limit, omega_phi_of, operator.add, 0, omega_q_minus_1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values[65537] == 16
+    assert 4 * (limit + half) <= peak <= charge, peak
+    assert peak < 4 * (limit + 1) + 4 * (limit + half), peak
 
 
 def test_chain_sieve_charges_table_and_temporary(monkeypatch):

@@ -1,12 +1,14 @@
 import json
+import os
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclopract import mult_order_star
-from cyclopract.cli import _parse_count_arg, main
+from cyclopract.cli import _parse_count_arg, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -247,6 +249,40 @@ def test_capacity_error_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "budget" in err
+
+
+# tracemalloc peaks of whole commands at N = 10^5, in units of N bytes.  The
+# SPF table of a per-prime pass is freed before the sieve's table is
+# allocated and no scan copies a table, so a command holds one table of N
+# entries, its slice temporary and the primes, about 7N; `ratios` holds the
+# order table while it sieves lambda*, about 11N.  An SPF table (4N) held
+# through the sieve, or a slice copy of a table for a scan, breaks these
+# bounds.  argparse loads gettext and locale on its first parse, about 2N at
+# 10^5 that does not grow with N, so one parse runs before tracing.
+MEMORY_N = 10**5
+
+
+@pytest.mark.parametrize(
+    "argv, most",
+    [
+        pytest.param(("orders", "--base", "3", "--out", os.devnull), 8, id="orders"),
+        pytest.param(("stats", "omegaphi"), 8, id="omegaphi"),
+        pytest.param(("stats", "smoothlambda", "--B", "7", "--Y", "50"), 8, id="smoothlambda"),
+        pytest.param(("stats", "smallorder", "--base", "2", "--bound", "1000"), 8, id="smallorder"),
+        pytest.param(("stats", "tau", "--kappa", "32"), 8, id="tau"),
+        pytest.param(("stats", "ratios", "--base", "2", "--psi", "100"), 11.5, id="ratios"),
+    ],
+)
+def test_command_peak_memory(capsys, argv, most):
+    build_parser().parse_args(["stats", "tau", "--limit", "1"])
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--limit", str(MEMORY_N)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, capsys.readouterr().err
+    assert peak <= most * MEMORY_N, peak / MEMORY_N
 
 
 PHI_CSV_1E6 = (

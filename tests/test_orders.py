@@ -82,8 +82,8 @@ def test_mult_order_star_examples():
     assert mult_order_star(2, 9999999) == mult_order(2, coprime_part(9999999, 2))
 
 
-def test_sieve_small_values(spf10k):
-    table = sieve_order_star(2, 10, spf10k)
+def test_sieve_small_values():
+    table = sieve_order_star(2, 10)
     assert list(table.values[1:]) == [1, 1, 2, 1, 4, 2, 3, 1, 6, 4]
 
 
@@ -157,8 +157,8 @@ def test_prime_order_keys_every_top(p):
     assert prime_order_keys(2, 100)[2] == 1
 
 
-def test_sieve_validates_inputs(spf10k):
+def test_sieve_validates_inputs():
     with pytest.raises(ValueError):
-        sieve_order_star(1, 10, spf10k)
+        sieve_order_star(1, 10)
     with pytest.raises(ValueError):
-        sieve_order_star(2, 10**5, spf10k)
+        sieve_order_star(2, 0)
