@@ -1,7 +1,7 @@
 """Command-line front end: practicality tests, count sieves, order dumps, scanners.
 
 Exit status is 0 on success, 2 on usage errors (argparse), and 1 when a run
-fails on a capacity or value error.  All output is UTF-8 with LF line
+fails on a capacity, value or file error.  All output is UTF-8 with LF line
 endings; identical flags produce byte-identical output.
 """
 from __future__ import annotations
@@ -348,10 +348,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OverflowError) as exc:
+    except (CapacityError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

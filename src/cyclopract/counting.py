@@ -11,7 +11,8 @@ rooted at 1, the parent of n = m * q^e being m, with q the last prime of n
 in key order.  ``_walk`` visits the tree depth first.  It settles a node
 from its parent's verdict where a lemma allows, and otherwise runs the
 sorted-degree greedy over ``practicality.merged_degree_weights`` (the
-kernel ``cyclopract test`` also uses) on the prime powers on its stack.
+kernel ``cyclopract test`` also uses) on the prime powers on its stack,
+with the degree ladders ``practicality.order_ladder`` and ``phi_ladder``.
 
 Over F_p the keys are computed at the chain primes alone
 (``orders.prime_order_keys``, from one byte sieve of the primes up to N); no
@@ -36,8 +37,8 @@ from typing import Callable, Sequence
 
 from .arith import primes_up_to
 from .errors import CapacityError
-from .orders import lifted_orders, prime_order_keys
-from .practicality import greedy_gap, merged_degree_weights
+from .orders import prime_order_keys
+from .practicality import greedy_gap, merged_degree_weights, order_ladder, phi_ladder
 
 DEFAULT_CHECKPOINT_DECADES = tuple(10**k for k in range(2, 8))
 
@@ -89,29 +90,6 @@ def _resolve_checkpoints(limit: int, checkpoints: Sequence[int] | None) -> list[
     if cps[-1] > limit:
         raise ValueError(f"checkpoint {cps[-1]} exceeds limit {limit}")
     return cps
-
-
-def _p_orders(p: int, keys: dict[int, int]) -> Callable[[int, int], Sequence[int]]:
-    """orders(q, e): the orders of p modulo q, q^2, ..., q^e (all 1 when
-    q = p), lifted from the chain key of q.  Every prime of a chain survivor
-    has an exact key, and each q^e with e >= 2 is lifted once."""
-    lifted: dict[int, list[int]] = {}
-
-    def orders(q: int, e: int) -> Sequence[int]:
-        if e == 1:
-            return (keys[q],)
-        qe = q**e
-        got = lifted.get(qe)
-        if got is None:
-            got = lifted[qe] = [1] * e if q == p else lifted_orders(p, q, e, keys[q])
-        return got
-
-    return orders
-
-
-def _phi_ladder(q: int, e: int) -> list[int]:
-    """phi(q), phi(q^2), ..., phi(q^e)."""
-    return [(q - 1) * q**a for a in range(e)]
 
 
 def _walk(
@@ -231,7 +209,7 @@ def _p_walk(p: int, top: int) -> Callable[..., None]:
     """The walk over F_p: key(q) = ord(p mod q) at the chain primes, from
     ``prime_order_keys``."""
     keys = prime_order_keys(p, top)
-    return partial(_walk, top, keys, _p_orders(p, keys), lcm)
+    return partial(_walk, top, keys, order_ladder(p, keys), lcm)
 
 
 def _phi_walk(top: int) -> Callable[..., None]:
@@ -241,7 +219,7 @@ def _phi_walk(top: int) -> Callable[..., None]:
     q <= isqrt(top) + 2 and no larger prime is listed."""
     primes = primes_up_to(isqrt(top) + 2)
     keys = {q: q - 1 for q in primes if q - 1 <= top // q + 1}
-    return partial(_walk, top, keys, _phi_ladder, mul)
+    return partial(_walk, top, keys, phi_ladder, mul)
 
 
 def _count_part(

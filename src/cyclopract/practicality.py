@@ -7,21 +7,23 @@ An n is "practical" for a degree multiset when every target in 1..n is a
 bounded-multiplicity sum of degrees, which the classic complete-sequence
 greedy decides.
 
-Over F_p every degree is an lcm of ord(p mod q^a) over the prime powers of
-d, so a decision needs only ord(p mod q) at the primes q of n, lifted to
-q^e.  ``merged_degree_weights`` builds the degree -> weight map from those
-prime powers, and ``greedy_gap`` runs the greedy over it; ``is_p_practical``
-and both counts share them, the phi count with degrees multiplied instead
-of taking their lcm.  ``degree_multiset`` (one
-``mult_order_star`` per divisor, or one entry of an order-star table) with
-``coverage_check``, a dense subset-sum oracle and a direct
-polynomial-factorization oracle stay as independent checks.
+Every degree is built from the prime powers q^a of d: over F_p it is the
+lcm of ord(p mod q^a), over Z the product of phi(q^a).  The per-field
+ladders of those degrees live here, ``order_ladder`` (ord(p mod q) lifted to
+q^e) and ``phi_ladder``.  ``merged_degree_weights`` builds the degree ->
+weight map from the prime powers of n, and ``greedy_gap`` runs the greedy
+over it; every verdict, ``is_p_practical``, ``is_phi_practical`` and both
+counts, runs this one kernel.  ``degree_multiset`` and
+``phi_degree_multiset`` (one degree per divisor) with ``coverage_check``, a
+dense subset-sum oracle and a direct polynomial-factorization oracle stay
+as independent checks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .arith import DEFAULT_DIVISOR_CAP, divisor_phi_pairs, factorize_trial, is_prime
@@ -79,8 +81,6 @@ def degree_multiset(n: int, p: int, order_table: OrderTable | None = None) -> De
 
 def phi_degree_multiset(n: int) -> DegreeMultiset:
     """Degrees of the irreducible integer factors of x^n - 1: phi(d) once per d."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     entries = tuple(
         (phi_d, 1) for _, phi_d in divisor_phi_pairs(factorize_trial(n))
     )
@@ -147,6 +147,29 @@ def dp_coverage_oracle(ms: DegreeMultiset, cap: int = DEFAULT_ORACLE_CAP) -> Pra
     return PracticalVerdict(practical=False, witness_gap=gap)
 
 
+def order_ladder(p: int, keys: dict[int, int]) -> Callable[[int, int], Sequence[int]]:
+    """orders(q, e): the orders of p modulo q, q^2, ..., q^e (all 1 when
+    q = p), lifted from keys[q], which is ord(p mod q) and 1 at q = p.
+    Each q^e with e >= 2 is lifted once."""
+    lifted: dict[int, list[int]] = {}
+
+    def orders(q: int, e: int) -> Sequence[int]:
+        if e == 1:
+            return (keys[q],)
+        qe = q**e
+        got = lifted.get(qe)
+        if got is None:
+            got = lifted[qe] = [1] * e if q == p else lifted_orders(p, q, e, keys[q])
+        return got
+
+    return orders
+
+
+def phi_ladder(q: int, e: int) -> list[int]:
+    """phi(q), phi(q^2), ..., phi(q^e)."""
+    return [(q - 1) * q**a for a in range(e)]
+
+
 def merged_degree_weights(
     prime_powers: Iterable[tuple[int, int]],
     ladder: Callable[[int, int], Sequence[int]],
@@ -206,27 +229,28 @@ def is_p_practical(n: int, p: int) -> PracticalVerdict:
     """Does x^n - 1 have a divisor of every degree 1..n over F_p?
 
     Factors n once by ``factorize_trial``, takes ord(p mod q) once per
-    prime q of n, lifts it to q^e, and runs the greedy over
-    ``merged_degree_weights``.  ``coverage_check`` over ``degree_multiset``
-    is the independent oracle for the same verdict and witness.
+    prime q of n, lifts it to q^e by ``order_ladder``, and runs the greedy
+    over ``merged_degree_weights``.  ``coverage_check`` over
+    ``degree_multiset`` is the independent oracle for the same verdict and
+    witness.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
-
-    def orders(q: int, e: int) -> list[int]:
-        if q == p:
-            return [1] * e
-        return lifted_orders(p, q, e, mult_order(p, q, q - 1))
-
-    gap = greedy_gap(merged_degree_weights(factorize_trial(n).factors, orders))
+    factors = factorize_trial(n).factors
+    keys = {q: 1 if q == p else mult_order(p, q, q - 1) for q, _ in factors}
+    gap = greedy_gap(merged_degree_weights(factors, order_ladder(p, keys)))
     return PracticalVerdict(practical=gap is None, witness_gap=gap)
 
 
 def is_phi_practical(n: int) -> PracticalVerdict:
-    """Does x^n - 1 have a divisor of every degree 1..n over the integers?"""
-    return coverage_check(phi_degree_multiset(n))
+    """Does x^n - 1 have a divisor of every degree 1..n over the integers?
+
+    The same kernel as ``is_p_practical``, with ``phi_ladder`` and degrees
+    multiplied; ``coverage_check`` over ``phi_degree_multiset`` is the
+    independent oracle for the same verdict and witness.
+    """
+    gap = greedy_gap(merged_degree_weights(factorize_trial(n).factors, phi_ladder, mul))
+    return PracticalVerdict(practical=gap is None, witness_gap=gap)
 
 
 POLY_ORACLE_MAX_N = 512

@@ -145,6 +145,26 @@ def test_count_out_file(tmp_path, capsys):
     assert target.read_text() == "X,count,ratio\n100,34,1.565758\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orders", "--base", "2", "--limit", "10"],
+        ["count", "--prime", "2", "--limit", "100", "--parts", "1"],
+        ["stats", "tau", "--limit", "100", "--kappa", "4"],
+    ],
+)
+@pytest.mark.parametrize("target", ["directory", "missing_dir"])
+def test_unwritable_out_exits_1(tmp_path, capsys, argv, target):
+    # A directory, or a file under a directory that does not exist: an
+    # error line and exit 1, never a traceback.
+    out = tmp_path if target == "directory" else tmp_path / "missing" / "x.csv"
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_orders_dump(capsys):
     code, out, _ = run_cli(capsys, "orders", "--base", "2", "--limit", "10")
     assert code == 0
@@ -403,16 +423,17 @@ def test_uncertifiable_prime_flag_exits_2(capsys, argv):
 
 def test_more_divisors_than_the_cap_decides(capsys):
     # The product of the first 21 primes has 2^21 divisors, twice the
-    # divisor-list cap; the merged degree map stays small.
+    # divisor-list cap; the merged degree map stays small for both kinds.
     primorial = 1
     for q in range(2, 74):
         if all(q % r for r in range(2, q)):
             primorial *= q
-    start = time.perf_counter()
-    code, out, _ = run_cli(capsys, "test", str(primorial), "--prime", "2")
-    assert time.perf_counter() - start < 1
-    assert code == 0
-    assert out.startswith(f"n={primorial} kind=p base=2 practical=")
+    for kind, head in ((("--prime", "2"), "kind=p base=2"), (("--phi",), "kind=phi")):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "test", str(primorial), *kind)
+        assert time.perf_counter() - start < 1, kind
+        assert code == 0, kind
+        assert out.startswith(f"n={primorial} {head} practical="), kind
 
 
 def test_uncertifiable_cofactor_exits_1(capsys):

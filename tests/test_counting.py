@@ -18,8 +18,8 @@ from cyclopract import (
 )
 from cyclopract import counting
 from cyclopract.arith import divisor_phi_pairs, factorize, prime_powers, primes_up_to
-from cyclopract.counting import _p_walk, _phi_ladder, _phi_walk
-from cyclopract.practicality import merged_degree_weights
+from cyclopract.counting import _p_walk, _phi_walk
+from cyclopract.practicality import merged_degree_weights, phi_ladder
 
 
 def p_chain(n, spf, order_values):
@@ -219,7 +219,7 @@ def test_merged_degree_weights_match_degree_multiset(spf100k, order_tables, p):
     # by product from the totient ladder.
     spf = spf100k.spf
     if p is None:
-        ladder, combine = _phi_ladder, mul
+        ladder, combine = phi_ladder, mul
         multiset = phi_degree_multiset
     else:
         table = order_tables(p, 2 * 10**4)

@@ -183,27 +183,38 @@ def test_greedy_agrees_with_dp_on_arbitrary_multisets(entries):
 
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def kernel_and_oracle(n, p):
+    """The prime-power kernel's verdict on n and the divisor-by-divisor
+    oracle's: over F_p, or over Z when p is None."""
+    if p is None:
+        return is_phi_practical(n), coverage_check(phi_degree_multiset(n))
+    return is_p_practical(n, p), coverage_check(degree_multiset(n, p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, None])
 def test_is_p_practical_matches_divisor_oracle(p):
-    # The prime-power kernel, with orders from trial factoring and lifting,
-    # against mult_order_star divisor by divisor: verdict and witness both.
+    # The prime-power kernel, with orders from trial factoring and lifting
+    # (totients over Z), against mult_order_star (phi) divisor by divisor:
+    # verdict and witness both.
     for n in range(1, 2 * 10**4 + 1):
-        assert is_p_practical(n, p) == coverage_check(degree_multiset(n, p)), n
+        kernel, oracle = kernel_and_oracle(n, p)
+        assert kernel == oracle, n
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2**64), st.sampled_from([2, 3, 5, 7]))
+@given(st.integers(0, 2**64), st.sampled_from([2, 3, 5, 7, None]))
 def test_is_p_practical_matches_oracle_on_large_n(seed, p):
     # A log-uniform n <= 10^11, which mostly carries a large prime, and a
     # 47-smooth n below a log-uniform bound, which carries many divisors.
-    # The oracle computes mult_order_star divisor by divisor.
+    # The oracle computes mult_order_star (phi over Z) divisor by divisor.
     rng = random.Random(seed)
     log_max = math.log(10**11)
     smooth, bound = 1, math.exp(rng.uniform(0, log_max))
     while smooth * (q := rng.choice(SMOOTH_PRIMES)) <= bound:
         smooth *= q
     for n in (int(math.exp(rng.uniform(0, log_max))), smooth):
-        assert is_p_practical(n, p) == coverage_check(degree_multiset(n, p)), (n, p)
+        kernel, oracle = kernel_and_oracle(n, p)
+        assert kernel == oracle, (n, p)
 
 
 def test_merged_map_capacity_is_enforced(monkeypatch):
