@@ -28,7 +28,7 @@ from .arith import (
     prime_powers,
     primes_up_to,
 )
-from .orders import OrderTable, _prime_order_sieved
+from .orders import OrderTable, prime_order
 
 THETA_MIN = 0.1
 THETA_MAX = 0.9
@@ -173,7 +173,7 @@ def a_q_primes(a: int, q: int, bound: int) -> list[tuple[int, int]]:
     primes = primes_up_to(bound)
     spf = build_spf_table(bound).spf
     return [
-        (p, _prime_order_sieved(a, p, spf))
+        (p, prime_order(a, p, spf))
         for p in primes
         if p % q == 1 and pow(a, (p - 1) // q, p) == 1
     ]

@@ -1,13 +1,15 @@
 """Command-line front end: practicality tests, count sieves, order dumps, scanners.
 
-Exit status is 0 on success, 2 on usage errors (argparse), and 1 when a run
-fails on a capacity, value or file error.  All output is UTF-8 with LF line
-endings; identical flags produce byte-identical output.
+Exit status is 0 on success or when the reader closes stdout early, 2 on
+usage errors (argparse), and 1 when a run fails on a capacity, value or file
+error.  All output is UTF-8 with LF line endings; identical flags produce
+byte-identical output.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from itertools import chain
@@ -347,7 +349,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout, as `head` does: end quietly, as shell tools
+        # do, with stdout on devnull so that the last flush at exit cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (CapacityError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

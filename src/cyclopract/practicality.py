@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Sequence
 from .arith import DEFAULT_DIVISOR_CAP, divisor_phi_pairs, factorize_trial, is_prime
 from .errors import CapacityError
 from .gfpoly import distinct_degree_counts
-from .orders import OrderTable, lifted_orders, mult_order, mult_order_star
+from .orders import OrderTable, lifted_orders, mult_order_star, prime_order
 
 
 @dataclass(frozen=True)
@@ -148,9 +148,9 @@ def dp_coverage_oracle(ms: DegreeMultiset, cap: int = DEFAULT_ORACLE_CAP) -> Pra
 
 
 def order_ladder(p: int, keys: dict[int, int]) -> Callable[[int, int], Sequence[int]]:
-    """orders(q, e): the orders of p modulo q, q^2, ..., q^e (all 1 when
-    q = p), lifted from keys[q], which is ord(p mod q) and 1 at q = p.
-    Each q^e with e >= 2 is lifted once."""
+    """orders(q, e): order_star(p, q^j) for j = 1..e, lifted by
+    ``lifted_orders`` from keys[q] = order_star(p, q).  Each q^e with
+    e >= 2 is lifted once."""
     lifted: dict[int, list[int]] = {}
 
     def orders(q: int, e: int) -> Sequence[int]:
@@ -159,7 +159,7 @@ def order_ladder(p: int, keys: dict[int, int]) -> Callable[[int, int], Sequence[
         qe = q**e
         got = lifted.get(qe)
         if got is None:
-            got = lifted[qe] = [1] * e if q == p else lifted_orders(p, q, e, keys[q])
+            got = lifted[qe] = lifted_orders(p, q, e, keys[q])
         return got
 
     return orders
@@ -228,16 +228,16 @@ def greedy_gap(weights: dict[int, int]) -> int | None:
 def is_p_practical(n: int, p: int) -> PracticalVerdict:
     """Does x^n - 1 have a divisor of every degree 1..n over F_p?
 
-    Factors n once by ``factorize_trial``, takes ord(p mod q) once per
-    prime q of n, lifts it to q^e by ``order_ladder``, and runs the greedy
-    over ``merged_degree_weights``.  ``coverage_check`` over
-    ``degree_multiset`` is the independent oracle for the same verdict and
-    witness.
+    Factors n and each q - 1 once by ``factorize_trial``, takes
+    order_star(p, q) by ``prime_order`` once per prime q of n, lifts it to
+    q^e by ``order_ladder``, and runs the greedy over
+    ``merged_degree_weights``.  ``coverage_check`` over ``degree_multiset``
+    is the independent oracle for the same verdict and witness.
     """
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
     factors = factorize_trial(n).factors
-    keys = {q: 1 if q == p else mult_order(p, q, q - 1) for q, _ in factors}
+    keys = {q: prime_order(p, q) for q, _ in factors}
     gap = greedy_gap(merged_degree_weights(factors, order_ladder(p, keys)))
     return PracticalVerdict(practical=gap is None, witness_gap=gap)
 

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cyclopract
 from cyclopract import mult_order_star
 from cyclopract.cli import _parse_count_arg, build_parser, main
 
@@ -173,6 +176,23 @@ def test_orders_dump(capsys):
     assert lines[1] == "1,1"
     assert lines[9] == "9,6"
     assert lines[10] == "10,4"
+
+
+def test_closed_stdout_pipe_exits_0_quietly():
+    # A reader that stops after one line, as `| head -1` does: the run
+    # ends with 0 and writes nothing to stderr.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cyclopract.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cyclopract.cli", "orders", "--base", "2", "--limit", "200000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"d,order_star\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_stats_zdense(capsys):

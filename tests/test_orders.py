@@ -8,10 +8,15 @@ from cyclopract import (
     lambda_star_table,
     mult_order,
     mult_order_star,
-    prime_power_order,
     sieve_order_star,
 )
-from cyclopract.orders import prime_order_keys
+from cyclopract.arith import build_spf_table, carmichael_lambda, factorize_trial, primes_up_to
+from cyclopract.orders import (
+    lifted_orders,
+    order_from_multiple,
+    prime_order,
+    prime_order_keys,
+)
 
 
 def naive_order(a, n):
@@ -63,17 +68,77 @@ def test_mult_order_against_naive_sweep():
                 assert mult_order(a, n) == naive_order(a, n)
 
 
-def test_prime_power_order_examples():
-    assert prime_power_order(2, 3, 2) == 6
-    assert prime_power_order(2, 7, 1) == 3
-    assert prime_power_order(5, 2, 6) == naive_order(5, 64)
+@pytest.mark.parametrize("a, n, lam_n", [(2, 7, 4), (3, 10, 3), (2, 7, 0), (2, 7, -3)])
+def test_mult_order_rejects_a_lam_n_that_is_not_a_multiple(a, n, lam_n):
+    # ord(2 mod 7) = 3 and ord(3 mod 10) = 4: stripping 4 or 3 gives a
+    # wrong order, so such a lam_n is refused.
+    with pytest.raises(ValueError):
+        mult_order(a, n, lam_n)
+    assert mult_order(2, 7, 6) == 3
+    assert mult_order(3, 10, 8) == 4
 
 
-def test_prime_power_order_rejects_divisible_base():
-    with pytest.raises(ValueError):
-        prime_power_order(6, 3, 2)
-    with pytest.raises(ValueError):
-        prime_power_order(2, 4, 1)
+def test_lifted_orders_examples():
+    assert lifted_orders(2, 3, 2, prime_order(2, 3))[-1] == 6
+    assert lifted_orders(2, 7, 1, prime_order(2, 7))[-1] == 3
+    assert lifted_orders(5, 2, 6, prime_order(5, 2))[-1] == naive_order(5, 64)
+
+
+@pytest.fixture(scope="module")
+def prime_orders():
+    """ord(a mod q) by repeated multiplication, for the primes q <= 3000 not
+    dividing a."""
+    return {
+        (a, q): naive_order(a, q) for a in (2, 3, 5, 7, 10) for q in primes_up_to(3000) if a % q
+    }
+
+
+def _orders_by_source(source, prime_orders):
+    # (got, want) for every kind of multiple t the package passes to
+    # order_from_multiple: lambda(n), q - 1 split through an SPF table or by
+    # trial division, and gcd(lcm(1..k+1), q - 1) where ord(a mod q) <= k + 1.
+    if source == "lambda":
+        for n in range(2, 300):
+            for a in (2, 3, 5, 10):
+                if math.gcd(a, n) == 1:
+                    lam = carmichael_lambda(factorize_trial(n))
+                    primes = [r for r, _ in factorize_trial(lam).factors]
+                    yield order_from_multiple(a, n, lam, primes), naive_order(a, n)
+    elif source == "spf":
+        spf = build_spf_table(3000).spf
+        for (a, q), want in prime_orders.items():
+            yield prime_order(a, q, spf), want
+    elif source == "trial":
+        for (a, q), want in prime_orders.items():
+            yield prime_order(a, q), want
+    else:
+        span = 1
+        for k in range(1, 64):
+            span = math.lcm(span, k + 1)
+            below = list(primes_up_to(k + 1))
+            for (a, q), want in prime_orders.items():
+                if want <= k + 1:
+                    yield order_from_multiple(a, q, math.gcd(span, q - 1), below), want
+
+
+@pytest.mark.parametrize("source", ["lambda", "spf", "trial", "stamp"])
+def test_order_from_multiple_matches_naive_for_every_source(source, prime_orders):
+    pairs = list(_orders_by_source(source, prime_orders))
+    assert len(pairs) > 100
+    assert [got for got, _ in pairs] == [want for _, want in pairs]
+
+
+@pytest.mark.parametrize("a", [2, 3, 6, 10, 12])
+def test_prime_dividing_the_base_has_order_star_1(a):
+    spf = build_spf_table(100).spf
+    for q in (2, 3, 5):
+        if a % q == 0:
+            assert prime_order(a, q) == prime_order(a, q, spf) == 1
+            assert lifted_orders(a, q, 6, 1) == [1] * 6
+        else:
+            assert lifted_orders(a, q, 6, prime_order(a, q)) == [
+                naive_order(a, q**j) for j in range(1, 7)
+            ]
 
 
 def test_mult_order_star_examples():
