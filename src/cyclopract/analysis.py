@@ -16,11 +16,9 @@ from math import exp, isfinite, lcm, log
 from operator import add, floordiv, mul
 
 from .arith import (
-    SpfTable,
     build_spf_table,
     chain_sieve,
     divisors_sorted,
-    factorize,
     factorize_trial,
     is_prime,
     lambda_prime_power,
@@ -28,7 +26,7 @@ from .arith import (
     prime_powers,
     primes_up_to,
 )
-from .orders import OrderTable, prime_order
+from .orders import prime_order
 
 THETA_MIN = 0.1
 THETA_MAX = 0.9
@@ -104,7 +102,7 @@ def _ratio_parts(z) -> tuple[int, int]:
     return num, den
 
 
-def is_z_dense(n: int, z, table: SpfTable | None = None) -> bool:
+def is_z_dense(n: int, z) -> bool:
     """True when every consecutive divisor ratio d_{i+1}/d_i is <= Z.
 
     The comparison is exact: with Z = num/den it checks
@@ -117,8 +115,7 @@ def is_z_dense(n: int, z, table: SpfTable | None = None) -> bool:
         raise ValueError(f"Z must be >= 2, got {z}")
     if n == 1:
         return True
-    f = factorize(n, table) if table is not None and n <= table.limit else factorize_trial(n)
-    divs = divisors_sorted(f)
+    divs = divisors_sorted(factorize_trial(n))
     for prev, cur in zip(divs, divs[1:]):
         if cur * den > num * prev:
             return False
@@ -163,15 +160,16 @@ def dense_count_bound_ratio(limit: int, z, count: int) -> float:
 def a_q_primes(a: int, q: int, bound: int) -> list[tuple[int, int]]:
     """(p, ord(a mod p)) for the primes p <= bound with p = 1 (mod q) and
     a^((p-1)/q) = 1 (mod p); an SPF table to bound factors each p - 1 for
-    its order."""
+    its order.  The table is built before the primes are listed, so a table
+    over the budget fails before the prime sieve runs."""
     if a < 2:
         raise ValueError(f"a must be >= 2, got {a}")
     if q < 3 or q % 2 == 0 or not is_prime(q):
         raise ValueError(f"q must be an odd prime, got {q}")
     if bound < q:
         raise ValueError(f"bound must be >= q, got {bound}")
+    spf = build_spf_table(bound)
     primes = primes_up_to(bound)
-    spf = build_spf_table(bound).spf
     return [
         (p, prime_order(a, p, spf))
         for p in primes
@@ -179,15 +177,15 @@ def a_q_primes(a: int, q: int, bound: int) -> list[tuple[int, int]]:
     ]
 
 
-def lambda_star_table(limit: int, skip_base: int | None = None) -> array:
+def lambda_star_table(limit: int, skip_base: int) -> array:
     """lambda of the largest divisor of n coprime to skip_base, for n <= limit.
 
     ``prime_power_sieve`` with lcm over the lambda(q^e) of the prime powers
-    of n, 1 where q divides skip_base; skip_base None gives plain lambda(n).
+    of n, 1 where q divides skip_base.
     """
 
     def lambda_coprime(q: int, e: int, _: int) -> int:
-        return 1 if skip_base is not None and skip_base % q == 0 else lambda_prime_power(q, e)
+        return 1 if skip_base % q == 0 else lambda_prime_power(q, e)
 
     return prime_power_sieve(limit, lambda_coprime, lcm)
 
@@ -203,26 +201,18 @@ class RatioStats:
     exceed_psi: int | None
 
 
-def lambda_order_ratio_stats(
-    a: int,
-    limit: int,
-    order_table: OrderTable,
-    psi: float | None = None,
-) -> RatioStats:
-    """Largest prime factor of lambda(n_(a))/order_star(a, n) for each n.
+def lambda_order_ratio_stats(a: int, orders: array, psi: float | None = None) -> RatioStats:
+    """Largest prime factor of lambda(n_(a))/order_star(a, n) for each
+    n <= limit, where ``orders`` is ``sieve_order_star(a, limit)``.
 
     The quotient uses lambda of the coprime part so it is always an integer
     (the order divides that lambda).  P(1) = 1 lands in bucket 1.  Both
     tables are read through memoryviews, and only the distinct quotients
     (547 at 10^6 for a = 2) are factored, by trial division.
     """
-    if order_table.base != a:
-        raise ValueError(f"order table base {order_table.base} does not match a={a}")
-    if order_table.limit < limit:
-        raise ValueError(f"order table limit {order_table.limit} below {limit}")
+    limit = len(orders) - 1
     lam = lambda_star_table(limit, skip_base=a)
-    orders = memoryview(order_table.values)[1 : limit + 1]
-    ratios = Counter(map(floordiv, memoryview(lam)[1:], orders))
+    ratios = Counter(map(floordiv, memoryview(lam)[1:], memoryview(orders)[1:]))
     counts: dict[int, int] = {}
     for ratio, c in ratios.items():
         biggest = max((q for q, _ in factorize_trial(ratio).factors), default=1)
@@ -233,14 +223,11 @@ def lambda_order_ratio_stats(
     return RatioStats(base=a, limit=limit, counts=counts, psi=psi, exceed_psi=exceed)
 
 
-def small_order_count(a: int, limit: int, bound, order_table: OrderTable) -> int:
-    """#{n <= limit : order_star(a, n) <= bound}."""
-    if order_table.base != a:
-        raise ValueError(f"order table base {order_table.base} does not match a={a}")
-    if order_table.limit < limit:
-        raise ValueError(f"order table limit {order_table.limit} below {limit}")
+def small_order_count(orders: array, bound) -> int:
+    """#{n <= limit : order_star(a, n) <= bound}, where ``orders`` is
+    ``sieve_order_star(a, limit)``."""
     count = 0
-    for v in memoryview(order_table.values)[1 : limit + 1]:
+    for v in memoryview(orders)[1:]:
         if v <= bound:
             count += 1
     return count
@@ -288,7 +275,7 @@ def tau_bound_ratio(limit: int, kappa, count: int) -> float:
     return count / (limit * log(limit) / kappa)
 
 
-def smooth_lambda_part_count(limit: int, bound: int, threshold) -> int:
+def smooth_lambda_part_count(limit: int, bound, threshold) -> int:
     """#{n <= limit : the bound-smooth part of lambda(n) exceeds threshold}.
 
     The smooth part of an lcm is the lcm of the smooth parts, so

@@ -1,14 +1,13 @@
 """Smallest-prime-factor sieve, the kernels that read it, the prime sieve,
 the prime chain sieve, and the elementary arithmetic functions.
 
-Factorizations come from one shared ``SpfTable`` through ``prime_powers``,
-which splits one n into its prime powers.  The table is immutable after
-construction and safe to share between worker processes.  Three sieves need
-no table: ``primes_up_to`` lists the primes up to a limit from one byte per
-odd number, ``prime_power_sieve`` tabulates a function fixed by its values on
-prime powers for every n up to a limit, and ``chain_sieve`` settles a prime
-chain for every n up to a limit by slice copies, which is how
-``stats zdense`` rejects most n.  A value that depends on the factors of
+Factorizations come from one smallest-prime-factor (SPF) table, a plain
+``array('I')``, through ``prime_powers``, which splits one n into its prime
+powers.  Three sieves need no table: ``primes_up_to`` lists the primes up to
+a limit from one byte per odd number, ``prime_power_sieve`` tabulates a
+function fixed by its values on prime powers for every n up to a limit, and
+``chain_sieve`` settles a prime chain for every n up to a limit by slice
+copies, which is how ``stats zdense`` rejects most n.  A value that depends on the factors of
 q - 1 is computed once per prime, in the prime-power sieve's per-prime pass,
 whose SPF table is freed before the sieve's own table is allocated.
 """
@@ -69,20 +68,10 @@ class Factorization:
     factors: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class SpfTable:
-    """Array of smallest prime factors for every index in 2..limit.
-
-    ``spf[k]`` is the least prime dividing k (so ``spf[p] == p`` for primes);
-    entries 0 and 1 hold the index itself as a placeholder.
-    """
-
-    limit: int
-    spf: array
-
-
-def build_spf_table(limit: int) -> SpfTable:
-    """Sieve smallest prime factors for all indices up to ``limit``.
+def build_spf_table(limit: int) -> array:
+    """Smallest prime factors for all indices up to ``limit``, as one 32-bit
+    array: entry k is the least prime dividing k (so entry p is p for a
+    prime p), and entries 0 and 1 hold the index itself as a placeholder.
 
     The table starts as the identity, which is already right for every
     prime and for the placeholders 0 and 1.  Then each prime p <= sqrt(limit), in decreasing order,
@@ -108,7 +97,7 @@ def build_spf_table(limit: int) -> SpfTable:
     spf = array("I", range(limit + 1))
     for p in reversed(small_primes):
         spf[p * p :: p] = array("I", [p]) * len(range(p * p, limit + 1, p))
-    return SpfTable(limit=limit, spf=spf)
+    return spf
 
 
 def prime_powers(n: int, spf: array) -> Iterator[tuple[int, int]]:
@@ -170,20 +159,23 @@ def prime_power_sieve(
     values and one temporary of at most limit // 2 entries, plus the
     1/16 + 7 an array over-allocates while growing (the temporary and the
     per-prime values grow); it charges that, and 1 KiB for the objects'
-    headers.  The SPF table charges itself.
+    headers, checking the part that does not depend on the primes before it
+    lists them.  The SPF table charges itself.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    primes = primes_up_to(limit)
     half = limit // 2
-    held = limit + 1 + half + half // 16 + 7 + len(primes)
+    held = limit + 1 + half + half // 16 + 7
+    charge_budget(4 * held + 1024, "prime-power sieve table")
+    primes = primes_up_to(limit)
+    held += len(primes)
     if per_prime is not None:
         held += len(primes) + len(primes) // 16 + 7
     charge_budget(4 * held + 1024, "prime-power sieve")
     if per_prime is None:
         weights = repeat(0)
     else:
-        spf = build_spf_table(max(limit - 1, 2)).spf
+        spf = build_spf_table(max(limit - 1, 2))
         weights = array("I", map(per_prime, primes, repeat(spf)))
         del spf
     values = array("I", [unit]) * (limit + 1)
@@ -276,15 +268,6 @@ def chain_sieve(
             ok[qe * low :: qe] = ok[low : top + 1]
             qe *= q
     return ok
-
-
-def factorize(n: int, table: SpfTable) -> Factorization:
-    """Factor n with table lookups; O(log n)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > table.limit:
-        raise ValueError(f"n={n} exceeds table limit {table.limit}")
-    return Factorization(n, tuple(prime_powers(n, table.spf)))
 
 
 # Trial division runs through d <= TRIAL_DIVISION_LIMIT; a cofactor it leaves
@@ -421,13 +404,11 @@ def tau(f: Factorization) -> int:
     return t
 
 
-def divisor_phi_pairs(
-    f: Factorization, max_divisors: int = DEFAULT_DIVISOR_CAP
-) -> list[tuple[int, int]]:
+def divisor_phi_pairs(f: Factorization) -> list[tuple[int, int]]:
     """(d, phi(d)) for every divisor d; generation order, not sorted."""
     count = tau(f)
-    if count > max_divisors:
-        raise CapacityError(f"{f.value} has {count} divisors, cap is {max_divisors}")
+    if count > DEFAULT_DIVISOR_CAP:
+        raise CapacityError(f"{f.value} has {count} divisors, cap is {DEFAULT_DIVISOR_CAP}")
     pairs = [(1, 1)]
     for q, e in f.factors:
         width = len(pairs)
@@ -440,9 +421,9 @@ def divisor_phi_pairs(
     return pairs
 
 
-def divisors_sorted(f: Factorization, max_divisors: int = DEFAULT_DIVISOR_CAP) -> list[int]:
+def divisors_sorted(f: Factorization) -> list[int]:
     """All divisors of f.value in increasing order."""
-    return sorted(d for d, _ in divisor_phi_pairs(f, max_divisors))
+    return sorted(d for d, _ in divisor_phi_pairs(f))
 
 
 def euler_phi(f: Factorization) -> int:

@@ -229,7 +229,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_orders(args) -> int:
-    values = sieve_order_star(args.base, args.limit).values
+    values = sieve_order_star(args.base, args.limit)
     rows = (f"{d},{values[d]}\n" for d in range(1, args.limit + 1))
     _emit(chain(("d,order_star\n",), rows), args.out)
     return 0
@@ -272,7 +272,7 @@ def _stats_payload(args) -> tuple[dict, list[tuple[str, object, object]]]:
         _require(scanner, base=args.base)
         orders = sieve_order_star(args.base, limit)
         psi = args.psi if args.psi is not None else (config.psi if config else None)
-        stats = lambda_order_ratio_stats(args.base, limit, orders, psi=psi)
+        stats = lambda_order_ratio_stats(args.base, orders, psi=psi)
         counts = dict(sorted(stats.counts.items()))
         result = {"base": args.base, "counts": counts, "exceed_psi": stats.exceed_psi}
         rows = [("ratio_largest_prime", k, v) for k, v in counts.items()]
@@ -284,8 +284,7 @@ def _stats_payload(args) -> tuple[dict, list[tuple[str, object, object]]]:
         if bound is None and config is not None:
             bound = config.small_order_bound()
         _require(scanner, bound=bound)
-        orders = sieve_order_star(args.base, limit)
-        count = small_order_count(args.base, limit, bound, orders)
+        count = small_order_count(sieve_order_star(args.base, limit), bound)
         result = {"base": args.base, "bound": bound, "count": count}
         rows = [
             ("small_order_bound", limit, repr(bound)),
@@ -312,7 +311,7 @@ def _stats_payload(args) -> tuple[dict, list[tuple[str, object, object]]]:
         smooth_bound = args.B if args.B is not None else (config.B if config else None)
         threshold = args.Y if args.Y is not None else (config.Y if config else None)
         _require(scanner, B=smooth_bound, Y=threshold)
-        count = smooth_lambda_part_count(limit, int(smooth_bound), threshold)
+        count = smooth_lambda_part_count(limit, smooth_bound, threshold)
         result = {"B": smooth_bound, "Y": threshold, "count": count}
         rows = [("smooth_lambda_count", limit, count)]
     else:  # pragma: no cover - argparse choices guard this

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import partial
 from itertools import filterfalse, islice
 from math import gcd, lcm
@@ -28,15 +27,6 @@ from .arith import (
     prime_power_sieve,
     primes_up_to,
 )
-
-
-@dataclass(frozen=True)
-class OrderTable:
-    """values[d] = order_star(base, d) for every 1 <= d <= limit."""
-
-    base: int
-    limit: int
-    values: array
 
 
 def coprime_part(n: int, a: int) -> int:
@@ -69,11 +59,9 @@ def order_from_multiple(a: int, n: int, t: int, primes: Iterable[int]) -> int:
     return t
 
 
-def mult_order(a: int, n: int, lam_n: int | None = None) -> int:
+def mult_order(a: int, n: int) -> int:
     """Multiplicative order of a modulo n for coprime a, n, by
-    ``order_from_multiple`` from t = lambda(n), computed via trial division
-    when not supplied.  A supplied ``lam_n`` must be a positive multiple of
-    the order, a^lam_n = 1 (mod n), or ValueError is raised."""
+    ``order_from_multiple`` from t = lambda(n), computed via trial division."""
     if a < 2:
         raise ValueError(f"a must be >= 2, got {a}")
     if n < 1:
@@ -82,11 +70,8 @@ def mult_order(a: int, n: int, lam_n: int | None = None) -> int:
         raise ValueError(f"a={a} and n={n} are not coprime")
     if n == 1:
         return 1
-    if lam_n is None:
-        lam_n = carmichael_lambda(factorize_trial(n))
-    elif lam_n < 1 or pow(a, lam_n, n) != 1:
-        raise ValueError(f"lam_n={lam_n} is not a positive multiple of the order of {a} mod {n}")
-    return order_from_multiple(a, n, lam_n, (r for r, _ in factorize_trial(lam_n).factors))
+    lam = carmichael_lambda(factorize_trial(n))
+    return order_from_multiple(a, n, lam, (r for r, _ in factorize_trial(lam).factors))
 
 
 def prime_order(a: int, q: int, spf: array | None = None) -> int:
@@ -133,7 +118,7 @@ def mult_order_star(a: int, n: int) -> int:
     return mult_order(a, coprime_part(n, a))
 
 
-def sieve_order_star(a: int, limit: int) -> OrderTable:
+def sieve_order_star(a: int, limit: int) -> array:
     """order_star(a, d) for every d <= limit, as one 32-bit array.
 
     ``prime_power_sieve`` with lcm: order_star(a, d) is the lcm of
@@ -149,8 +134,7 @@ def sieve_order_star(a: int, limit: int) -> OrderTable:
         """order_star(a, q^e) from t = order_star(a, q)."""
         return t if e == 1 else lifted_orders(a, q, e, t)[-1]
 
-    values = prime_power_sieve(limit, order_mod_prime_power, lcm, per_prime=partial(prime_order, a))
-    return OrderTable(base=a, limit=limit, values=values)
+    return prime_power_sieve(limit, order_mod_prime_power, lcm, per_prime=partial(prime_order, a))
 
 
 # ord(p mod q) <= s exactly when q divides p^j - 1 for some j <= s.
@@ -188,7 +172,7 @@ def prime_order_keys(p: int, top: int) -> dict[int, int]:
     """
     primes = primes_up_to(top)
     small = top // _STAMP_SPAN
-    spf = build_spf_table(max(small, 2)).spf
+    spf = build_spf_table(max(small, 2))
     keys = {p: 1} if p <= top else {}
     for q in islice(primes, bisect_right(primes, small)):
         if (k := prime_order(p, q, spf)) <= top // q + 1:

@@ -20,6 +20,7 @@ as independent checks.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
@@ -29,7 +30,7 @@ from typing import Callable, Iterable, Sequence
 from .arith import DEFAULT_DIVISOR_CAP, divisor_phi_pairs, factorize_trial, is_prime
 from .errors import CapacityError
 from .gfpoly import distinct_degree_counts
-from .orders import OrderTable, lifted_orders, mult_order_star, prime_order
+from .orders import lifted_orders, mult_order_star, prime_order
 
 
 @dataclass(frozen=True)
@@ -55,23 +56,22 @@ class PracticalVerdict:
     witness_gap: int | None = None
 
 
-def degree_multiset(n: int, p: int, order_table: OrderTable | None = None) -> DegreeMultiset:
+def degree_multiset(n: int, p: int, orders: array | None = None) -> DegreeMultiset:
     """Degrees of the irreducible factors of x^n - 1 over F_p, by divisor.
 
     Each divisor d contributes (order_star(p, d), phi(d)/order_star(p, d));
     the weighted sum over all entries is n.  The orders are read from
-    ``order_table`` when one is passed, else ``mult_order_star`` per divisor.
+    ``orders``, a ``sieve_order_star(p, limit)`` table with limit >= n, when
+    one is passed, else ``mult_order_star`` per divisor.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
-    if order_table is None:
+    if orders is None:
         lookup = lambda d: mult_order_star(p, d)
-    elif order_table.base != p:
-        raise ValueError(f"order table was built for base {order_table.base}, not {p}")
     else:
-        lookup = order_table.values.__getitem__
+        lookup = orders.__getitem__
     entries = []
     for d, phi_d in divisor_phi_pairs(factorize_trial(n)):
         deg = lookup(d)
@@ -108,14 +108,14 @@ def coverage_check(ms: DegreeMultiset) -> PracticalVerdict:
 DEFAULT_ORACLE_CAP = 10**5
 
 
-def dp_reachable_mask(ms: DegreeMultiset, cap: int = DEFAULT_ORACLE_CAP) -> int:
+def dp_reachable_mask(ms: DegreeMultiset) -> int:
     """Bitmask of sums reachable in 0..n with bounded multiplicities.
 
     Dense subset-sum table as an integer bitmask; counts are expanded by
     binary splitting so c copies cost O(log c) shift-or passes.
     """
-    if ms.n > cap:
-        raise CapacityError(f"n={ms.n} exceeds oracle cap {cap}")
+    if ms.n > DEFAULT_ORACLE_CAP:
+        raise CapacityError(f"n={ms.n} exceeds oracle cap {DEFAULT_ORACLE_CAP}")
     full = (1 << (ms.n + 1)) - 1
     mask = 1
     for deg, cnt in ms.degree_counts().items():
@@ -136,9 +136,9 @@ def verify_witness(ms: DegreeMultiset, gap: int) -> bool:
     return mask & below == below and not (mask >> gap) & 1
 
 
-def dp_coverage_oracle(ms: DegreeMultiset, cap: int = DEFAULT_ORACLE_CAP) -> PracticalVerdict:
+def dp_coverage_oracle(ms: DegreeMultiset) -> PracticalVerdict:
     """Exact reachability verdict; independent of the greedy path."""
-    mask = dp_reachable_mask(ms, cap)
+    mask = dp_reachable_mask(ms)
     want = (1 << (ms.n + 1)) - 1
     if mask == want:
         return PracticalVerdict(practical=True)

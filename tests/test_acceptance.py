@@ -17,7 +17,7 @@ from cyclopract import (
     dp_coverage_oracle,
     coprime_part,
     divisors_sorted,
-    factorize,
+    factorize_trial,
     is_p_practical,
     is_phi_practical,
     poly_factor_degrees_oracle,
@@ -25,6 +25,7 @@ from cyclopract import (
     render_json,
     verify_witness,
 )
+from cyclopract.arith import prime_powers
 from cyclopract.cli import main as cli_main
 
 TABLE_COUNTS = {
@@ -145,7 +146,7 @@ def test_criterion_6_order_engine(spf10k, order_tables):
     with criterion(6, "true orders and monotone divisor ratios to 10^4"):
         violations = 0
         for a in (2, 3, 5, 7, 10):
-            values = order_tables(a, 10**4).values
+            values = order_tables(a, 10**4)
             for n in range(1, 10**4 + 1):
                 t = values[n]
                 m = coprime_part(n, a)
@@ -155,10 +156,10 @@ def test_criterion_6_order_engine(spf10k, order_tables):
                 else:
                     if pow(a, t, m) != 1:
                         violations += 1
-                    for q, _ in factorize(t, spf10k).factors:
+                    for q, _ in prime_powers(t, spf10k):
                         if pow(a, t // q, m) == 1:
                             violations += 1
-                for d in divisors_sorted(factorize(n, spf10k)):
+                for d in divisors_sorted(factorize_trial(n)):
                     if d * t > n * values[d]:
                         violations += 1
         assert violations == 0

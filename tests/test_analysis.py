@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cyclopract import (
     AnalysisConfig,
+    CapacityError,
     a_q_primes,
     big_omega,
     carmichael_lambda,
@@ -31,7 +32,8 @@ from cyclopract import (
     tau,
     tau_threshold_count,
 )
-from cyclopract.arith import chain_sieve, prime_powers, primes_up_to
+from cyclopract import analysis
+from cyclopract.arith import MEM_BUDGET_ENV, chain_sieve, prime_powers, primes_up_to
 
 
 def z_dense_chain(n, spf, num, den):
@@ -100,11 +102,11 @@ def test_is_z_dense_exact_boundary():
         is_z_dense(4, Fraction(3999, 2000))
 
 
-def test_z_dense_brute_force_equivalence(spf10k):
+def test_z_dense_brute_force_equivalence():
     for n in range(1, 10**4 + 1):
-        assert is_z_dense(n, 2, spf10k) == brute_force_z_dense(n, 2), n
+        assert is_z_dense(n, 2) == brute_force_z_dense(n, 2), n
     for n in range(1, 2001):
-        assert is_z_dense(n, 2.5, spf10k) == brute_force_z_dense(n, 2.5), n
+        assert is_z_dense(n, 2.5) == brute_force_z_dense(n, 2.5), n
 
 
 def test_count_z_dense_first_decade():
@@ -124,8 +126,8 @@ def test_z_dense_chain_matches_divisor_scan(spf100k, z):
     ok = chain_sieve(10**5, primes_up_to(10**5), lambda q: -(-q * den // num))
     assert ok[0] == 0
     for n in range(1, 10**5 + 1):
-        dense = is_z_dense(n, z, spf100k)
-        assert z_dense_chain(n, spf100k.spf, num, den) == dense, n
+        dense = is_z_dense(n, z)
+        assert z_dense_chain(n, spf100k, num, den) == dense, n
         assert bool(ok[n]) == dense, n
     assert count_z_dense(10**5, z) == ok.count(1)
 
@@ -157,7 +159,7 @@ def test_a_q_brute_force():
 def test_a_q_membership_means_small_order():
     for p, _ in a_q_primes(2, 3, 10**4):
         assert (p - 1) % 3 == 0
-        assert ((p - 1) // 3) % mult_order(2, p, p - 1) == 0
+        assert ((p - 1) // 3) % mult_order(2, p) == 0
 
 
 @pytest.mark.parametrize("a, q", [(2, 3), (3, 7), (10, 5)])
@@ -175,11 +177,22 @@ def test_a_q_validates_arguments():
         a_q_primes(2, 5, 3)  # bound below q
 
 
+def test_a_q_checks_its_spf_table_before_listing_primes(monkeypatch):
+    # An SPF table over the budget fails before the prime sieve runs.
+    def unlisted(limit):
+        raise AssertionError("primes listed before the budget check")
+
+    monkeypatch.setattr(analysis, "primes_up_to", unlisted)
+    monkeypatch.setenv(MEM_BUDGET_ENV, str(6 * (10**5 + 1) - 1))
+    with pytest.raises(CapacityError):
+        a_q_primes(2, 3, 10**5)
+
+
 def test_ratio_stats_small(order_tables):
-    stats = lambda_order_ratio_stats(2, 100, order_tables(2, 100))
+    stats = lambda_order_ratio_stats(2, order_tables(2, 100))
     # n = 7: lambda = 6, order of 2 is 3, quotient 2, largest prime 2
     lam = lambda_star_table(100, skip_base=2)
-    assert lam[7] // order_tables(2, 100).values[7] == 2
+    assert lam[7] // order_tables(2, 100)[7] == 2
     assert sum(stats.counts.values()) == 100
     assert stats.exceed_psi is None
     # primes where 2 is a primitive root land in bucket 1
@@ -187,13 +200,13 @@ def test_ratio_stats_small(order_tables):
 
 
 def test_ratio_stats_psi_threshold(order_tables):
-    stats = lambda_order_ratio_stats(2, 1000, order_tables(2, 1000), psi=3.0)
+    stats = lambda_order_ratio_stats(2, order_tables(2, 1000), psi=3.0)
     manual = sum(c for prime, c in stats.counts.items() if prime >= 3.0)
     assert stats.exceed_psi == manual
 
 
 def test_ratio_is_always_integral(order_tables):
-    values = order_tables(2, 10**4).values
+    values = order_tables(2, 10**4)
     lam = lambda_star_table(10**4, skip_base=2)
     for n in range(1, 10**4 + 1):
         assert lam[n] % values[n] == 0
@@ -201,17 +214,15 @@ def test_ratio_is_always_integral(order_tables):
 
 def test_small_order_count_examples(order_tables):
     table10 = order_tables(2, 10)
-    assert small_order_count(2, 10, 10, table10) == 10  # bound >= N
-    assert small_order_count(2, 10, 1, table10) == 4  # {1, 2, 4, 8}
+    assert small_order_count(table10, 10) == 10  # bound >= N
+    assert small_order_count(table10, 1) == 4  # {1, 2, 4, 8}
 
 
 def test_small_order_count_exhaustive(order_tables):
     table = order_tables(2, 10**5)
-    expected = sum(1 for n in range(1, 10**5 + 1) if table.values[n] <= 100)
-    assert small_order_count(2, 10**5, 100, table) == expected
-    assert small_order_count(2, 10**5, 99.5, table) == sum(
-        1 for n in range(1, 10**5 + 1) if table.values[n] <= 99
-    )
+    expected = sum(1 for n in range(1, 10**5 + 1) if table[n] <= 100)
+    assert small_order_count(table, 100) == expected
+    assert small_order_count(table, 99.5) == sum(1 for n in range(1, 10**5 + 1) if table[n] <= 99)
 
 
 def test_omega_phi_threshold_and_excess():
@@ -258,7 +269,7 @@ def test_smooth_lambda_count():
 def test_ratio_bucket_one_for_primitive_roots(order_tables):
     # 2 is a primitive root mod 11: lambda = order = 10, quotient 1
     lam = lambda_star_table(11, skip_base=2)
-    assert lam[11] == order_tables(2, 11).values[11] == 10
+    assert lam[11] == order_tables(2, 11)[11] == 10
 
 
 def test_counters_monotone_in_limit(order_tables):
@@ -267,7 +278,7 @@ def test_counters_monotone_in_limit(order_tables):
         assert count_z_dense(small, 2) <= count_z_dense(large, 2)
         assert tau_threshold_count(small, 6) <= tau_threshold_count(large, 6)
         assert smooth_lambda_part_count(small, 3, 4) <= smooth_lambda_part_count(large, 3, 4)
-        assert small_order_count(2, small, 8, table) <= small_order_count(2, large, 8, table)
+        assert small_order_count(table[: small + 1], 8) <= small_order_count(table[: large + 1], 8)
         excess = [omega_phi_excess(omega_phi_distribution(x), x) for x in (small, large)]
         assert excess[0] <= excess[1]
 
@@ -314,17 +325,16 @@ def reference_row(n):
 @settings(max_examples=20, deadline=None)
 @given(limits, st.integers(2, 10))
 def test_order_sieve_property(limit, base):
-    values = sieve_order_star(base, limit).values
+    values = sieve_order_star(base, limit)
     assert list(values[1:]) == [mult_order_star(base, n) for n in range(1, limit + 1)]
 
 
 @settings(max_examples=20, deadline=None)
-@given(limits, st.none() | st.integers(2, 10))
+@given(limits, st.integers(2, 10))
 def test_lambda_star_sieve_property(limit, skip_base):
     values = lambda_star_table(limit, skip_base=skip_base)
     expected = [
-        carmichael_lambda(factorize_trial(n if skip_base is None else coprime_part(n, skip_base)))
-        for n in range(1, limit + 1)
+        carmichael_lambda(factorize_trial(coprime_part(n, skip_base))) for n in range(1, limit + 1)
     ]
     assert list(values[1:]) == expected
 

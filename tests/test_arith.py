@@ -2,6 +2,7 @@ import math
 import operator
 import random
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -15,11 +16,12 @@ from cyclopract import (
     divisor_phi_pairs,
     divisors_sorted,
     euler_phi,
-    factorize,
     factorize_trial,
     is_prime,
+    sieve_order_star,
     tau,
 )
+from cyclopract import arith
 from cyclopract.arith import (
     MEM_BUDGET_ENV,
     MILLER_RABIN_PROVEN_BELOW,
@@ -38,9 +40,15 @@ def spf10m():
 
 def test_spf_small_tables():
     t = build_spf_table(10)
-    assert list(t.spf[2:]) == [2, 3, 2, 5, 2, 7, 2, 3, 2]
+    assert list(t[2:]) == [2, 3, 2, 5, 2, 7, 2, 3, 2]
     t2 = build_spf_table(2)
-    assert list(t2.spf[2:]) == [2]
+    assert list(t2[2:]) == [2]
+
+
+def test_tables_are_arrays():
+    # Entry n of each table is its value at n, with no wrapper around it.
+    for table in (build_spf_table(10), sieve_order_star(2, 10)):
+        assert type(table) is array and table.typecode == "I" and len(table) == 11
 
 
 def test_spf_rejects_bad_limits():
@@ -52,7 +60,7 @@ def test_spf_spot_check_against_trial_division(spf10m):
     rng = random.Random(1234)
     for _ in range(10**4):
         k = rng.randint(2, 10**7)
-        p = spf10m.spf[k]
+        p = spf10m[k]
         assert k % p == 0
         assert p == factorize_trial(k).factors[0][0]
 
@@ -60,7 +68,7 @@ def test_spf_spot_check_against_trial_division(spf10m):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 3000))
 def test_spf_table_agrees_with_trial_division(limit):
-    spf = build_spf_table(limit).spf
+    spf = build_spf_table(limit)
     assert list(spf[:2]) == [0, 1]
     for k in range(2, limit + 1):
         assert spf[k] == factorize_trial(k).factors[0][0], k
@@ -70,40 +78,32 @@ def test_spf_table_agrees_with_trial_division(limit):
 @given(st.integers(1, 10**4))
 def test_sieve_kernels_agree_with_trial_division(spf10k, n):
     f = factorize_trial(n)
-    assert tuple(prime_powers(n, spf10k.spf)) == f.factors
+    assert tuple(prime_powers(n, spf10k)) == f.factors
     pairs = divisor_phi_pairs(f)
     assert sorted(d for d, _ in pairs) == [d for d in range(1, n + 1) if n % d == 0]
     assert all(ph == euler_phi(factorize_trial(d)) for d, ph in pairs)
 
 
 def test_factorize_examples(spf10m):
-    assert factorize(1, spf10m).factors == ()
-    assert factorize(12, spf10m).factors == ((2, 2), (3, 1))
-    assert factorize(9999991, spf10m) == factorize_trial(9999991)
+    assert tuple(prime_powers(1, spf10m)) == factorize_trial(1).factors == ()
+    assert tuple(prime_powers(12, spf10m)) == factorize_trial(12).factors == ((2, 2), (3, 1))
+    assert tuple(prime_powers(9999991, spf10m)) == factorize_trial(9999991).factors
 
 
 def test_factorize_random_agrees_with_trial_division(spf10m):
     rng = random.Random(99)
     for _ in range(10**4):
         n = rng.randint(1, 10**7)
-        assert factorize(n, spf10m) == factorize_trial(n)
-
-
-def test_factorize_out_of_range():
-    t = build_spf_table(100)
-    with pytest.raises(ValueError):
-        factorize(101, t)
-    with pytest.raises(ValueError):
-        factorize(0, t)
+        assert tuple(prime_powers(n, spf10m)) == factorize_trial(n).factors
 
 
 def test_factorization_invariants(spf10k):
     for n in range(1, 2001):
-        f = factorize(n, spf10k)
-        primes = [q for q, _ in f.factors]
+        factors = tuple(prime_powers(n, spf10k))
+        primes = [q for q, _ in factors]
         assert primes == sorted(set(primes))
-        assert math.prod(q**e for q, e in f.factors) == n
-        assert (f.factors == ()) == (n == 1)
+        assert math.prod(q**e for q, e in factors) == n
+        assert (factors == ()) == (n == 1)
 
 
 def test_divisors_sorted_examples():
@@ -114,9 +114,9 @@ def test_divisors_sorted_examples():
     assert divs == [d for d in range(1, 720721) if 720720 % d == 0]
 
 
-def test_divisors_pairing_and_order(spf10k):
+def test_divisors_pairing_and_order():
     for n in range(1, 500):
-        divs = divisors_sorted(factorize(n, spf10k))
+        divs = divisors_sorted(factorize_trial(n))
         assert divs == sorted(divs)
         assert len(set(divs)) == len(divs)
         assert divs[0] == 1 and divs[-1] == n
@@ -124,11 +124,14 @@ def test_divisors_pairing_and_order(spf10k):
 
 
 def test_divisor_cap():
-    f = factorize_trial(720720)
+    # The product of the first 21 primes has 2^21 divisors, over the cap of
+    # 2^20; tau is checked before any list is built.
+    f = factorize_trial(math.prod(primes_up_to(73)))
+    assert tau(f) == 2**21
     with pytest.raises(CapacityError):
-        divisors_sorted(f, max_divisors=100)
+        divisors_sorted(f)
     with pytest.raises(CapacityError):
-        divisor_phi_pairs(f, max_divisors=100)
+        divisor_phi_pairs(f)
 
 
 def test_euler_phi_examples():
@@ -136,9 +139,9 @@ def test_euler_phi_examples():
     assert euler_phi(factorize_trial(12)) == 4
 
 
-def test_phi_divisor_sum_identity_exhaustive(spf10k):
+def test_phi_divisor_sum_identity_exhaustive():
     for n in range(1, 10**4 + 1):
-        f = factorize(n, spf10k)
+        f = factorize_trial(n)
         assert sum(ph for _, ph in divisor_phi_pairs(f)) == n
 
 
@@ -150,13 +153,13 @@ def test_carmichael_examples():
     assert carmichael_lambda(factorize_trial(15)) == 4
 
 
-def test_lambda_divides_phi_exhaustive(spf10k):
+def test_lambda_divides_phi_exhaustive():
     for n in range(1, 10**4 + 1):
-        f = factorize(n, spf10k)
+        f = factorize_trial(n)
         assert euler_phi(f) % carmichael_lambda(f) == 0
 
 
-def test_lambda_lcm_on_coprime_pairs(spf10k):
+def test_lambda_lcm_on_coprime_pairs():
     rng = random.Random(7)
     hits = 0
     while hits < 500:
@@ -166,8 +169,8 @@ def test_lambda_lcm_on_coprime_pairs(spf10k):
             continue
         hits += 1
         lam_ab = carmichael_lambda(factorize_trial(a * b))
-        lam_a = carmichael_lambda(factorize(a, spf10k))
-        lam_b = carmichael_lambda(factorize(b, spf10k))
+        lam_a = carmichael_lambda(factorize_trial(a))
+        lam_b = carmichael_lambda(factorize_trial(b))
         assert lam_ab == math.lcm(lam_a, lam_b)
 
 
@@ -300,6 +303,22 @@ def test_prime_power_sieve_frees_its_spf_table_first(monkeypatch):
     assert peak < 4 * (limit + 1) + 4 * (limit + half), peak
 
 
+@pytest.mark.parametrize("per_prime", [None, omega_q_minus_1])
+def test_prime_power_sieve_checks_its_table_before_listing_primes(monkeypatch, per_prime):
+    # A budget one byte below the table and its temporary fails before the
+    # prime sieve runs.
+    def unlisted(limit):
+        raise AssertionError("primes listed before the budget check")
+
+    monkeypatch.setattr(arith, "primes_up_to", unlisted)
+    limit = 10**5
+    half = limit // 2
+    charge = 4 * (limit + 1 + half + half // 16 + 7) + 1024
+    monkeypatch.setenv(MEM_BUDGET_ENV, str(charge - 1))
+    with pytest.raises(CapacityError):
+        prime_power_sieve(limit, lambda q, e, w: e + w, operator.add, 0, per_prime)
+
+
 def test_chain_sieve_charges_table_and_temporary(monkeypatch):
     # The table, the slice temporary of up to limit // 2 bytes, and 1 KiB for
     # object headers; tracemalloc's peak stays within that charge.
@@ -326,7 +345,7 @@ def test_chain_sieve_charges_table_and_temporary(monkeypatch):
 def test_primes_up_to_matches_spf_table(spf100k, limit):
     primes = primes_up_to(limit)
     assert primes.typecode == "I"
-    assert list(primes) == [q for q in range(2, limit + 1) if spf100k.spf[q] == q]
+    assert list(primes) == [q for q in range(2, limit + 1) if spf100k[q] == q]
 
 
 def test_prime_sieve_charges_flags_temporary_and_output(monkeypatch):

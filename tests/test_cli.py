@@ -264,6 +264,15 @@ def test_stats_smoothlambda(capsys):
     assert out.startswith("stat,n_or_prime,value\n")
 
 
+def test_smooth_bound_is_taken_as_given(capsys):
+    # --B is a real: a bound below 2 is quoted as given, not truncated, and
+    # a fractional bound counts as its integer part does.
+    argv = ("stats", "smoothlambda", "--limit", "1000", "--Y", "5")
+    code, out, err = run_cli(capsys, *argv, "--B", "0.5")
+    assert (code, out, err) == (1, "", "error: bound must be >= 2, got 0.5\n")
+    assert run_cli(capsys, *argv, "--B", "7.5") == run_cli(capsys, *argv, "--B", "7")
+
+
 def test_stats_missing_flag_is_error(capsys):
     code, out, err = run_cli(capsys, "stats", "zdense", "--limit", "10")
     assert code == 1

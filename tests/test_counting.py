@@ -17,7 +17,7 @@ from cyclopract import (
     render_text,
 )
 from cyclopract import counting
-from cyclopract.arith import divisor_phi_pairs, factorize, prime_powers, primes_up_to
+from cyclopract.arith import Factorization, divisor_phi_pairs, prime_powers, primes_up_to
 from cyclopract.counting import _p_walk, _phi_walk
 from cyclopract.practicality import merged_degree_weights, phi_ladder
 
@@ -180,9 +180,9 @@ def test_phi_stream_agrees_with_single_shot():
         assert streamed == coverage_check(phi_degree_multiset(n)).practical, n
 
 
-def unfiltered_greedy(n, table, order_values):
+def unfiltered_greedy(n, spf, order_values):
     """The sorted (degree, phi) greedy over every divisor of n, no prefilter."""
-    pairs = divisor_phi_pairs(factorize(n, table))
+    pairs = divisor_phi_pairs(Factorization(n, tuple(prime_powers(n, spf))))
     if order_values is None:
         degrees = sorted((ph, ph) for _, ph in pairs)
     else:
@@ -200,13 +200,12 @@ def test_chain_never_rejects_a_practical_n(spf100k, order_tables, p):
     # The walk visits exactly the n <= 10^5 whose per-n chain holds, never
     # skips an n the unfiltered greedy accepts, and its verdicts are that
     # greedy's.
-    spf = spf100k.spf
-    ov = None if p is None else order_tables(p, 10**5).values
+    ov = None if p is None else order_tables(p, 10**5)
     nodes = walked(chain_walk(p, 10**5))
     for n in range(1, 10**5 + 1):
         practical = unfiltered_greedy(n, spf100k, ov)
         passed = n in nodes
-        assert passed == (phi_chain(n, spf) if p is None else p_chain(n, spf, ov)), n
+        assert passed == (phi_chain(n, spf100k) if p is None else p_chain(n, spf100k, ov)), n
         assert passed or not practical, n
         assert nodes.get(n, False) == practical, n
     # The chain leaves under a fifth of n to the walk (10.6k to 17.9k here).
@@ -217,18 +216,16 @@ def test_chain_never_rejects_a_practical_n(spf100k, order_tables, p):
 def test_merged_degree_weights_match_degree_multiset(spf100k, order_tables, p):
     # Over F_p degrees combine by lcm from the order ladder; over Z (p None)
     # by product from the totient ladder.
-    spf = spf100k.spf
     if p is None:
         ladder, combine = phi_ladder, mul
         multiset = phi_degree_multiset
     else:
-        table = order_tables(p, 2 * 10**4)
-        ov = table.values
+        ov = order_tables(p, 2 * 10**4)
         ladder, combine = (lambda q, e: [ov[q**a] for a in range(1, e + 1)]), lcm
-        multiset = lambda n: degree_multiset(n, p, table)
+        multiset = lambda n: degree_multiset(n, p, ov)
 
     for n in range(1, 2 * 10**4 + 1):
-        weights = merged_degree_weights(prime_powers(n, spf), ladder, combine)
+        weights = merged_degree_weights(prime_powers(n, spf100k), ladder, combine)
         assert all(w % deg == 0 for deg, w in weights.items()), n
         merged = {deg: w // deg for deg, w in weights.items()}
         assert merged == multiset(n).degree_counts(), n
@@ -241,7 +238,7 @@ def test_memoized_decider_matches_plain_greedy(spf100k, order_tables, monkeypatc
     # silent; the greedy runs on under a quarter of the nodes.  Parts 2, 3
     # and 7 visit disjoint node sets whose union is the whole walk.
     limit = 10**5
-    ov = None if p is None else order_tables(p, limit).values
+    ov = None if p is None else order_tables(p, limit)
     walk = chain_walk(p, limit)
     greedy_gap = counting.greedy_gap
     calls = 0
