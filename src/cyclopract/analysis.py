@@ -18,6 +18,7 @@ from operator import add, floordiv, mul
 from .arith import (
     build_spf_table,
     chain_sieve,
+    charge_chain_sieve,
     divisors_sorted,
     factorize_trial,
     is_prime,
@@ -139,12 +140,15 @@ def count_z_dense(limit: int, z) -> int:
     Z * q^a * M_j: either it is q^(a+1) <= Z * q^a * M_j, or it is
     q^(a+1) * d with its predecessor q^(a+1) * d' <= q^a * M_j in block
     a + 1, and d <= Z * d'.  ``is_z_dense`` is the divisor-scan reference.
+    The sieve's charge is checked before the primes are listed, so a table
+    over the budget fails before the prime sieve runs.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     num, den = _ratio_parts(z)
     if num < 2 * den:
         raise ValueError(f"Z must be >= 2, got {z}")
+    charge_chain_sieve(limit)
     ok = chain_sieve(limit, primes_up_to(limit), lambda q: -(-q * den // num))
     return ok.count(1)
 

@@ -160,13 +160,24 @@ def prime_power_sieve(
     1/16 + 7 an array over-allocates while growing (the temporary and the
     per-prime values grow); it charges that, and 1 KiB for the objects'
     headers, checking the part that does not depend on the primes before it
-    lists them.  The SPF table charges itself.
+    lists them.  That first refusal also names an upper bound on the whole
+    charge, with pi(limit) bounded by ``prime_count_bound``, so a budget
+    raised to it passes both checks.  The SPF table charges itself.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     half = limit // 2
     held = limit + 1 + half + half // 16 + 7
-    charge_budget(4 * held + 1024, "prime-power sieve table")
+    try:
+        charge_budget(4 * held + 1024, "prime-power sieve table")
+    except CapacityError as exc:
+        most = prime_count_bound(limit)
+        whole = held + most
+        if per_prime is not None:
+            whole += most + most // 16 + 7
+        raise CapacityError(
+            f"{exc}; the whole sieve needs at most {4 * whole + 1024} bytes"
+        ) from None
     primes = primes_up_to(limit)
     held += len(primes)
     if per_prime is not None:
@@ -196,6 +207,12 @@ def prime_power_sieve(
     return values
 
 
+def prime_count_bound(limit: int) -> int:
+    """An upper bound on pi(limit): 1.25506 * limit / log(limit) bounds it
+    for limit > 1 (Rosser and Schoenfeld, Illinois J. Math. 1962)."""
+    return int(1.25506 * limit / log(limit)) + 1 if limit > 1 else 0
+
+
 def primes_up_to(limit: int) -> array:
     """The primes q <= limit, increasing, as one 32-bit array.
 
@@ -205,9 +222,8 @@ def primes_up_to(limit: int) -> array:
     zeroes the flags of its odd multiples from r^2 on by one slice write,
     and ``compress`` reads the numbers left set.  The slice written for
     r = 3 is a temporary of at most limit // 6 bytes.  The output holds
-    pi(limit) < 1.25506 * limit / log(limit) entries (Rosser and
-    Schoenfeld, Illinois J. Math. 1962), plus the 1/16 + 7 an array
-    over-allocates while growing.  The flags, that temporary and that
+    pi(limit) <= ``prime_count_bound(limit)`` entries, plus the 1/16 + 7 an
+    array over-allocates while growing.  The flags, that temporary and that
     output are charged together.
     """
     if limit < 2:
@@ -215,7 +231,7 @@ def primes_up_to(limit: int) -> array:
     if limit >= 1 << 32:
         raise CapacityError(f"limit {limit} does not fit 32-bit prime entries")
     size = (limit + 1) // 2
-    most = int(1.25506 * limit / log(limit)) + 1
+    most = prime_count_bound(limit)
     charge_budget(size + limit // 6 + 4 * (most + most // 16 + 7), "prime sieve")
     flags = bytearray(b"\x01") * size
     for r in range(3, isqrt(limit) + 1, 2):
@@ -224,6 +240,12 @@ def primes_up_to(limit: int) -> array:
     primes = array("I", compress(range(1, limit + 1, 2), flags))
     primes[0] = 2
     return primes
+
+
+def charge_chain_sieve(limit: int) -> None:
+    """Charge ``chain_sieve(limit, ...)``'s table, its slice temporary and
+    1 KiB; a caller may check it before it lists the primes."""
+    charge_budget(limit + 1 + limit // 2 + 1024, "chain sieve")
 
 
 def chain_sieve(
@@ -253,9 +275,9 @@ def chain_sieve(
 
     Each slice write reads from a temporary of at most limit // 2 bytes, so
     the sieve charges that with the table, and 1 KiB for the objects'
-    headers and the loop's integers.
+    headers and the loop's integers (``charge_chain_sieve``).
     """
-    charge_budget(limit + 1 + limit // 2 + 1024, "chain sieve")
+    charge_chain_sieve(limit)
     ok = bytearray(b"\x01") * (limit + 1)
     ok[0] = 0
     for q in primes:

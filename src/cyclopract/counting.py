@@ -13,6 +13,10 @@ from its parent's verdict where a lemma allows, and otherwise runs the
 sorted-degree greedy over ``practicality.merged_degree_weights`` (the
 kernel ``cyclopract test`` also uses) on the prime powers on its stack,
 with the degree ladders ``practicality.order_ladder`` and ``phi_ladder``.
+Below a node m that fails the greedy with gap g, the bound on a child's
+key tightens from m + 1 to g, by the same argument with g for m + 1: a
+prime of larger key adds no degree up to g, so the gap stays open in the
+child and in every node beneath it, and the walk does not visit them.
 
 Over F_p the keys are computed at the chain primes alone
 (``orders.prime_order_keys``, from one byte sieve of the primes up to N); no
@@ -101,8 +105,9 @@ def _walk(
     part: int,
     parts: int,
 ) -> None:
-    """Call visit(n, practical) for every n <= limit whose prime chain holds
-    and that falls to part ``part`` of ``parts``, depth first from 1.
+    """Call visit(n, practical) for every n <= limit whose prime chain holds,
+    that the gap lemma does not prune, and that falls to part ``part`` of
+    ``parts``, depth first from 1.  Every practical n <= limit is visited.
 
     ``keys`` maps each prime a chain can use to its key.  ladder(q, e) is
     delta(q), ..., delta(q^e), where delta(d) is ord*(p, d) over F_p (1 when
@@ -117,10 +122,12 @@ def _walk(
     its cofactor m, and the children of m are the m * q^e <= limit with q
     after m's last prime in key order and key(q) <= m + 1.  Their primes
     are read from the key-ordered primes, after m's last and up to key
-    m + 1, or from the primes up to limit // m, whichever list is shorter,
-    and filtered by the other bound.
+    m + 1 (up to key g below an m that fails with gap g, by the gap lemma),
+    or from the primes up to limit // m, whichever list is shorter, and
+    filtered by the other bound.
 
-    Verdicts.  The root 1 is practical.  A child n = m * q^e is accepted
+    Verdicts.  The walk carries each node's greedy gap, None when it is
+    practical.  The root 1 is practical.  A child n = m * q^e is accepted
     when m is practical and either e = 1 or kappa = delta(q^e) <= m + 1;
     for e = 1 that inequality is the chain link of q.  Otherwise the greedy
     runs on the degree -> weight map merged from the prime powers on the
@@ -128,7 +135,7 @@ def _walk(
     greedy over the sorted divisor totients agrees with, because equal
     totients pass or fail together.
 
-    Lemma.  Let n = m * q^e with q prime, q not dividing m, and
+    Cofactor lemma.  Let n = m * q^e with q prime, q not dividing m, and
     kappa = delta(q^e), where delta(d) is ord*(p, d) over F_p (1 when
     q = p) and phi(d) over Z.  If m is practical and kappa <= m + 1, then
     n is practical.
@@ -155,7 +162,26 @@ def _walk(
       Otherwise it is m * q^a > D, as D <= phi(d) * phi(q^a) <= m * (q^a - 1).
     The greedy is exact, so every verdict equals the plain greedy's.
 
-    Parts.  The walk order does not depend on ``part``.  The depth-2 nodes
+    Gap lemma.  Let m fail the greedy with gap g.  Then every child
+    n = m * q^e with key(q) > g fails with gap g, and so does every
+    descendant of n.  So below m the walk takes children only up to key g,
+    not m + 1; g <= m, so the range is never wider.
+    - The greedy stops at the first degree D > reach + 1, with g = reach + 1
+      the weight of the degrees below D plus one.  Each of those has weight
+      at least its degree, so they are all at most g - 1 and sum to g - 1,
+      and m has no degree from g to D - 1.  So g - 1 < m.
+    - A divisor of n that does not divide m is d * q^a with a >= 1, of
+      degree lcm(delta(d), delta(q^a)) over F_p or phi(d) * phi(q^a) over
+      Z; both are at least delta(q) = key(q) > g.
+    - So the degrees of n up to g are those of m, and the greedy on n stops
+      at g again.
+    - A descendant of n adds only primes after q in key order, of key at
+      least key(q) > g, so the same argument holds at every step down.
+    - q = p has key 1 and is never pruned: degree 1 has weight at least 1,
+      so g >= 2.
+
+    Parts.  The walk order does not depend on ``part``: every part settles
+    the nodes above depth 2, so every part prunes alike.  The depth-2 nodes
     are numbered in that order, and a part visits and descends into those
     numbered ``part`` mod ``parts`` only; every part walks the nodes above
     depth 2, and part 0 visits them.  So each node is visited by exactly
@@ -169,11 +195,11 @@ def _walk(
     stack: list[tuple[int, int]] = []  # the prime powers of the node, in key order
     dealt = -1  # the number of the last depth-2 node
 
-    def descend(m: int, yes: bool, lo: int) -> None:
+    def descend(m: int, gap: int | None, lo: int) -> None:
         # The children of m, whose primes have ranks lo to hi - 1 in key order.
         nonlocal dealt
         cap = limit // m
-        hi = bisect_right(key_order, m + 1, lo)
+        hi = bisect_right(key_order, m + 1 if gap is None else gap, lo)
         top = bisect_right(primes, cap)
         if hi - lo < top:
             qs = [q for q in by_key[lo:hi] if q <= cap]
@@ -189,20 +215,21 @@ def _walk(
                     dealt += 1
                 if depth != 2 or dealt % parts == part:
                     n = m * qe
-                    practical = (yes and (e == 1 or ladder(q, e)[-1] <= m + 1)) or greedy_gap(
-                        merged_degree_weights(stack, ladder, combine)
-                    ) is None
+                    if gap is None and (e == 1 or ladder(q, e)[-1] <= m + 1):
+                        child = None
+                    else:
+                        child = greedy_gap(merged_degree_weights(stack, ladder, combine))
                     if depth > 1 or part == 0:
-                        visit(n, practical)
+                        visit(n, child is None)
                     if n <= half:
-                        descend(n, practical, rank[q] + 1)
+                        descend(n, child, rank[q] + 1)
                 stack.pop()
                 qe *= q
                 e += 1
 
     if part == 0:
         visit(1, True)
-    descend(1, True, 0)
+    descend(1, None, 0)
 
 
 def _p_walk(p: int, top: int) -> Callable[..., None]:

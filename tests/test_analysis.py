@@ -188,6 +188,19 @@ def test_a_q_checks_its_spf_table_before_listing_primes(monkeypatch):
         a_q_primes(2, 3, 10**5)
 
 
+def test_z_dense_checks_its_chain_sieve_before_listing_primes(monkeypatch):
+    # A budget one byte below the chain sieve's table, its temporary and
+    # 1 KiB fails before the prime sieve runs.
+    def unlisted(limit):
+        raise AssertionError("primes listed before the budget check")
+
+    monkeypatch.setattr(analysis, "primes_up_to", unlisted)
+    limit = 10**5
+    monkeypatch.setenv(MEM_BUDGET_ENV, str(limit + 1 + limit // 2 + 1024 - 1))
+    with pytest.raises(CapacityError):
+        count_z_dense(limit, 2)
+
+
 def test_ratio_stats_small(order_tables):
     stats = lambda_order_ratio_stats(2, order_tables(2, 100))
     # n = 7: lambda = 6, order of 2 is 3, quotient 2, largest prime 2

@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import re
 import tracemalloc
 from array import array
 
@@ -317,6 +318,22 @@ def test_prime_power_sieve_checks_its_table_before_listing_primes(monkeypatch, p
     monkeypatch.setenv(MEM_BUDGET_ENV, str(charge - 1))
     with pytest.raises(CapacityError):
         prime_power_sieve(limit, lambda q, e, w: e + w, operator.add, 0, per_prime)
+
+
+@pytest.mark.parametrize("per_prime", [None, omega_q_minus_1])
+def test_prime_power_sieve_first_refusal_bounds_the_whole_charge(monkeypatch, per_prime):
+    # The refusal made before the primes are listed names an upper bound on
+    # the whole charge; a budget raised to it passes both checks.
+    limit = 10**5
+    value = lambda q, e, w: e + w
+    monkeypatch.setenv(MEM_BUDGET_ENV, "1000")
+    with pytest.raises(CapacityError) as refused:
+        prime_power_sieve(limit, value, operator.add, 0, per_prime)
+    named = re.search(r"the whole sieve needs at most (\d+) bytes", str(refused.value))
+    assert named, str(refused.value)
+    monkeypatch.setenv(MEM_BUDGET_ENV, named[1])
+    values = prime_power_sieve(limit, value, operator.add, 0, per_prime)
+    assert len(values) == limit + 1
 
 
 def test_chain_sieve_charges_table_and_temporary(monkeypatch):
