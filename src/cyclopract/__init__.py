@@ -4,7 +4,6 @@ from .analysis import (
     AnalysisConfig,
     a_q_primes,
     count_z_dense,
-    is_z_dense,
     lambda_order_ratio_stats,
     lambda_star_table,
     omega_phi_distribution,
@@ -16,12 +15,9 @@ from .analysis import (
 )
 from .arith import (
     Factorization,
-    big_omega,
     build_spf_table,
     carmichael_lambda,
     divisor_phi_pairs,
-    divisors_sorted,
-    euler_phi,
     factorize_trial,
     is_prime,
     tau,
@@ -49,7 +45,6 @@ from .practicality import (
     is_p_practical,
     is_phi_practical,
     phi_degree_multiset,
-    poly_factor_degrees_oracle,
     verify_witness,
 )
 
@@ -61,7 +56,6 @@ __all__ = [
     "DegreeMultiset",
     "Factorization",
     "a_q_primes",
-    "big_omega",
     "build_spf_table",
     "carmichael_lambda",
     "coprime_part",
@@ -71,14 +65,11 @@ __all__ = [
     "coverage_check",
     "degree_multiset",
     "divisor_phi_pairs",
-    "divisors_sorted",
     "dp_coverage_oracle",
-    "euler_phi",
     "factorize_trial",
     "is_p_practical",
     "is_phi_practical",
     "is_prime",
-    "is_z_dense",
     "lambda_order_ratio_stats",
     "lambda_star_table",
     "mult_order",
@@ -87,7 +78,6 @@ __all__ = [
     "omega_phi_excess",
     "omega_phi_threshold",
     "phi_degree_multiset",
-    "poly_factor_degrees_oracle",
     "ratio_row",
     "render_csv",
     "render_json",

@@ -19,7 +19,6 @@ from .arith import (
     build_spf_table,
     chain_sieve,
     charge_chain_sieve,
-    divisors_sorted,
     factorize_trial,
     is_prime,
     lambda_prime_power,
@@ -103,26 +102,6 @@ def _ratio_parts(z) -> tuple[int, int]:
     return num, den
 
 
-def is_z_dense(n: int, z) -> bool:
-    """True when every consecutive divisor ratio d_{i+1}/d_i is <= Z.
-
-    The comparison is exact: with Z = num/den it checks
-    d_{i+1} * den <= num * d_i in integers.  n = 1 is Z-dense (no ratios).
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    num, den = _ratio_parts(z)
-    if num < 2 * den:
-        raise ValueError(f"Z must be >= 2, got {z}")
-    if n == 1:
-        return True
-    divs = divisors_sorted(factorize_trial(n))
-    for prev, cur in zip(divs, divs[1:]):
-        if cur * den > num * prev:
-            return False
-    return True
-
-
 def count_z_dense(limit: int, z) -> int:
     """Exact count of Z-dense n <= limit, by Tenenbaum's criterion through
     one ``chain_sieve``.
@@ -139,7 +118,8 @@ def count_z_dense(limit: int, z) -> int:
     D(M_j).  The first divisor above the top q^a * M_j of block a is at most
     Z * q^a * M_j: either it is q^(a+1) <= Z * q^a * M_j, or it is
     q^(a+1) * d with its predecessor q^(a+1) * d' <= q^a * M_j in block
-    a + 1, and d <= Z * d'.  ``is_z_dense`` is the divisor-scan reference.
+    a + 1, and d <= Z * d'.  The divisor-scan reference, ``is_z_dense``,
+    lives with the tests, in ``tests/oracles.py``.
     The sieve's charge is checked before the primes are listed, so a table
     over the budget fails before the prime sieve runs.
     """
@@ -198,10 +178,7 @@ def lambda_star_table(limit: int, skip_base: int) -> array:
 class RatioStats:
     """Histogram of P(lambda(n_(a)) / order_star(a, n)) over n <= limit."""
 
-    base: int
-    limit: int
     counts: dict[int, int]
-    psi: float | None
     exceed_psi: int | None
 
 
@@ -224,7 +201,7 @@ def lambda_order_ratio_stats(a: int, orders: array, psi: float | None = None) ->
     exceed = None
     if psi is not None:
         exceed = sum(c for biggest, c in counts.items() if biggest >= psi)
-    return RatioStats(base=a, limit=limit, counts=counts, psi=psi, exceed_psi=exceed)
+    return RatioStats(counts=counts, exceed_psi=exceed)
 
 
 def small_order_count(orders: array, bound) -> int:

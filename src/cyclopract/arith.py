@@ -74,11 +74,11 @@ def build_spf_table(limit: int) -> array:
     prime p), and entries 0 and 1 hold the index itself as a placeholder.
 
     The table starts as the identity, which is already right for every
-    prime and for the placeholders 0 and 1.  Then each prime p <= sqrt(limit), in decreasing order,
-    writes p over its multiples from p^2 on, so every composite is last
-    written by its least prime divisor.  The slice written for p = 2 is a
-    temporary half the table's size, so the peak, and the charge, is
-    6(limit + 1) bytes.
+    prime and for the placeholders 0 and 1.  Then each prime p <= sqrt(limit)
+    (from ``primes_up_to``), in decreasing order, writes p over its multiples
+    from p^2 on, so every composite is last written by its least prime
+    divisor.  The slice written for p = 2 is a temporary half the table's
+    size, so the peak, and the charge, is 6(limit + 1) bytes.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
@@ -86,16 +86,8 @@ def build_spf_table(limit: int) -> array:
         raise CapacityError(f"limit {limit} does not fit 32-bit table entries")
     charge_budget(6 * (limit + 1), "smallest-prime-factor table")
 
-    root = isqrt(limit)
-    composite = bytearray(root + 1)
-    small_primes = []
-    for p in range(2, root + 1):
-        if not composite[p]:
-            small_primes.append(p)
-            composite[p * p :: p] = b"\x01" * len(range(p * p, root + 1, p))
-
     spf = array("I", range(limit + 1))
-    for p in reversed(small_primes):
+    for p in reversed(primes_up_to(isqrt(limit))):
         spf[p * p :: p] = array("I", [p]) * len(range(p * p, limit + 1, p))
     return spf
 
@@ -443,19 +435,6 @@ def divisor_phi_pairs(f: Factorization) -> list[tuple[int, int]]:
     return pairs
 
 
-def divisors_sorted(f: Factorization) -> list[int]:
-    """All divisors of f.value in increasing order."""
-    return sorted(d for d, _ in divisor_phi_pairs(f))
-
-
-def euler_phi(f: Factorization) -> int:
-    """Euler totient from the factorization; phi(1) = 1."""
-    phi = 1
-    for q, e in f.factors:
-        phi *= q ** (e - 1) * (q - 1)
-    return phi
-
-
 def lambda_prime_power(q: int, e: int) -> int:
     """lambda(q^e) for a prime q."""
     if q == 2:
@@ -479,8 +458,3 @@ def carmichael_lambda(f: Factorization) -> int:
         if lam >= _U64_LIMIT:
             raise OverflowError(f"lambda({f.value}) exceeds 64-bit range")
     return lam
-
-
-def big_omega(f: Factorization) -> int:
-    """Prime factors counted with multiplicity; Omega(1) = 0."""
-    return sum(e for _, e in f.factors)

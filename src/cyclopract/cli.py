@@ -245,16 +245,22 @@ def _require(parser_hint: str, **needed):
 def _stats_payload(args) -> tuple[dict, list[tuple[str, object, object]]]:
     """Run the chosen scanner; return (summary dict, CSV rows)."""
     limit = args.limit
-    config = None
+    # Each threshold comes from its flag, else from --theta, else is None;
+    # every scanner and the echo read this one dict.
+    given = {"Y": args.Y, "B": args.B, "Z": args.z, "psi": args.psi, "bound": args.bound}
+    derived = {}
     if args.theta is not None:
         config = AnalysisConfig.from_theta(args.theta, limit, Z=args.z, psi=args.psi)
+        derived = {"Y": config.Y, "B": config.B, "Z": config.Z, "psi": config.psi,
+                   "bound": config.small_order_bound()}
+    used = {k: derived.get(k) if v is None else v for k, v in given.items()}
 
     scanner = args.scanner
     rows: list[tuple[str, object, object]] = []
     result: dict = {}
 
     if scanner == "zdense":
-        z = args.z if args.z is not None else (config.Z if config else None)
+        z = used["Z"]
         _require(scanner, z=z)
         count = count_z_dense(limit, z)
         ratio = dense_count_bound_ratio(limit, z, count)
@@ -271,7 +277,7 @@ def _stats_payload(args) -> tuple[dict, list[tuple[str, object, object]]]:
     elif scanner == "ratios":
         _require(scanner, base=args.base)
         orders = sieve_order_star(args.base, limit)
-        psi = args.psi if args.psi is not None else (config.psi if config else None)
+        psi = used["psi"]
         stats = lambda_order_ratio_stats(args.base, orders, psi=psi)
         counts = dict(sorted(stats.counts.items()))
         result = {"base": args.base, "counts": counts, "exceed_psi": stats.exceed_psi}
@@ -280,9 +286,7 @@ def _stats_payload(args) -> tuple[dict, list[tuple[str, object, object]]]:
             rows.append(("ratio_exceed_psi", limit, stats.exceed_psi))
     elif scanner == "smallorder":
         _require(scanner, base=args.base)
-        bound = args.bound
-        if bound is None and config is not None:
-            bound = config.small_order_bound()
+        bound = used["bound"]
         _require(scanner, bound=bound)
         count = small_order_count(sieve_order_star(args.base, limit), bound)
         result = {"base": args.base, "bound": bound, "count": count}
@@ -308,8 +312,8 @@ def _stats_payload(args) -> tuple[dict, list[tuple[str, object, object]]]:
             ("tau_bound_ratio", limit, f"{ratio:.6f}"),
         ]
     elif scanner == "smoothlambda":
-        smooth_bound = args.B if args.B is not None else (config.B if config else None)
-        threshold = args.Y if args.Y is not None else (config.Y if config else None)
+        smooth_bound = used["B"]
+        threshold = used["Y"]
         _require(scanner, B=smooth_bound, Y=threshold)
         count = smooth_lambda_part_count(limit, smooth_bound, threshold)
         result = {"B": smooth_bound, "Y": threshold, "count": count}
@@ -318,13 +322,13 @@ def _stats_payload(args) -> tuple[dict, list[tuple[str, object, object]]]:
         raise ValueError(f"unknown scanner {scanner!r}")
 
     echo = {
-        "theta": config.theta if config else args.theta,
+        "theta": args.theta,
         "X": limit,
-        "Y": config.Y if config else args.Y,
-        "B": config.B if config else args.B,
-        "Z": config.Z if config else args.z,
+        "Y": used["Y"],
+        "B": used["B"],
+        "Z": used["Z"],
         "kappa": args.kappa,
-        "psi": config.psi if config else args.psi,
+        "psi": used["psi"],
     }
     summary = {"scanner": scanner, "limit": limit, "config": echo, "result": result}
     return summary, rows

@@ -44,8 +44,6 @@ from .errors import CapacityError
 from .orders import prime_order_keys
 from .practicality import greedy_gap, merged_degree_weights, order_ladder, phi_ladder
 
-DEFAULT_CHECKPOINT_DECADES = tuple(10**k for k in range(2, 8))
-
 
 @dataclass(frozen=True)
 class CountRow:
@@ -60,7 +58,6 @@ class CountReport:
 
     kind: str  # "phi" or "p"
     base: int | None  # prime base when kind == "p"
-    limit: int
     rows: tuple[CountRow, ...]
 
     def counts(self) -> list[int]:
@@ -78,10 +75,15 @@ def ratio_row(X: int, count: int) -> float:
 
 
 def _resolve_checkpoints(limit: int, checkpoints: Sequence[int] | None) -> list[int]:
+    """The checkpoints as given, checked; by default every 10^k <= limit
+    from 100 on, or [limit] below 100."""
     if checkpoints is None:
-        cps = [x for x in DEFAULT_CHECKPOINT_DECADES if x <= limit]
-        if not cps:
-            cps = [limit]
+        cps = []
+        x = 100
+        while x <= limit:
+            cps.append(x)
+            x *= 10
+        cps = cps or [limit]
     else:
         cps = [int(x) for x in checkpoints]
     if not cps:
@@ -319,7 +321,7 @@ def _count(
         partials = [count_part(part) for part in range(parts)]
     totals = [sum(column) for column in zip(*partials)]
     rows = tuple(CountRow(X=x, count=c, ratio=ratio_row(x, c)) for x, c in zip(cps, totals))
-    return CountReport(kind="phi" if p is None else "p", base=p, limit=limit, rows=rows)
+    return CountReport(kind="phi" if p is None else "p", base=p, rows=rows)
 
 
 def count_p_practical_partitioned(

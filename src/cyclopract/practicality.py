@@ -14,22 +14,20 @@ q^e) and ``phi_ladder``.  ``merged_degree_weights`` builds the degree ->
 weight map from the prime powers of n, and ``greedy_gap`` runs the greedy
 over it; every verdict, ``is_p_practical``, ``is_phi_practical`` and both
 counts, runs this one kernel.  ``degree_multiset`` and
-``phi_degree_multiset`` (one degree per divisor) with ``coverage_check``, a
-dense subset-sum oracle and a direct polynomial-factorization oracle stay
-as independent checks.
+``phi_degree_multiset`` (one degree per divisor) with ``coverage_check`` and
+a dense subset-sum oracle stay as independent checks; the direct
+polynomial-factorization oracle lives with the tests, in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
 from math import lcm
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .arith import DEFAULT_DIVISOR_CAP, divisor_phi_pairs, factorize_trial, is_prime
 from .errors import CapacityError
-from .gfpoly import distinct_degree_counts
 from .orders import lifted_orders, mult_order_star, prime_order
 
 
@@ -251,37 +249,3 @@ def is_phi_practical(n: int) -> PracticalVerdict:
     """
     gap = greedy_gap(merged_degree_weights(factorize_trial(n).factors, phi_ladder, mul))
     return PracticalVerdict(practical=gap is None, witness_gap=gap)
-
-
-POLY_ORACLE_MAX_N = 512
-POLY_ORACLE_MAX_P = 97
-
-
-@lru_cache(maxsize=None)
-def _squarefree_cyclo_counts(m: int, p: int) -> tuple[tuple[int, int], ...]:
-    # x^m - 1 with p not dividing m is squarefree; run plain DDF on it.
-    f = [p - 1] + [0] * (m - 1) + [1]
-    return tuple(sorted(distinct_degree_counts(f, p).items()))
-
-
-def poly_factor_degrees_oracle(n: int, p: int) -> dict[int, int]:
-    """degree -> factor count of x^n - 1 over F_p by direct factorization.
-
-    Splits off the p-power part first: x^n - 1 is the p^e-th power of
-    x^m - 1 where m = n / p^e is coprime to p, so every count from the
-    squarefree distinct-degree factorization scales by p^e.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > POLY_ORACLE_MAX_N:
-        raise CapacityError(f"n={n} exceeds polynomial oracle cap {POLY_ORACLE_MAX_N}")
-    if p > POLY_ORACLE_MAX_P:
-        raise CapacityError(f"p={p} exceeds polynomial oracle cap {POLY_ORACLE_MAX_P}")
-    if not is_prime(p):
-        raise ValueError(f"p={p} is not prime")
-    m = n
-    scale = 1
-    while m % p == 0:
-        m //= p
-        scale *= p
-    return {deg: cnt * scale for deg, cnt in _squarefree_cyclo_counts(m, p)}

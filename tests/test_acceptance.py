@@ -16,17 +16,16 @@ from cyclopract import (
     degree_multiset,
     dp_coverage_oracle,
     coprime_part,
-    divisors_sorted,
     factorize_trial,
     is_p_practical,
     is_phi_practical,
-    poly_factor_degrees_oracle,
     render_csv,
     render_json,
     verify_witness,
 )
 from cyclopract.arith import prime_powers
 from cyclopract.cli import main as cli_main
+from oracles import divisors_sorted, poly_factor_degrees_oracle
 
 TABLE_COUNTS = {
     2: [34, 243, 1790, 14703, 120276, 1030279],

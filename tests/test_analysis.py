@@ -11,14 +11,11 @@ from cyclopract import (
     AnalysisConfig,
     CapacityError,
     a_q_primes,
-    big_omega,
     carmichael_lambda,
     coprime_part,
     count_z_dense,
     factorize_trial,
-    euler_phi,
     is_prime,
-    is_z_dense,
     lambda_order_ratio_stats,
     lambda_star_table,
     mult_order,
@@ -34,6 +31,7 @@ from cyclopract import (
 )
 from cyclopract import analysis
 from cyclopract.arith import MEM_BUDGET_ENV, chain_sieve, prime_powers, primes_up_to
+from oracles import big_omega, euler_phi, is_z_dense
 
 
 def z_dense_chain(n, spf, num, den):

@@ -11,12 +11,9 @@ from hypothesis import strategies as st
 
 from cyclopract import (
     CapacityError,
-    big_omega,
     build_spf_table,
     carmichael_lambda,
     divisor_phi_pairs,
-    divisors_sorted,
-    euler_phi,
     factorize_trial,
     is_prime,
     sieve_order_star,
@@ -32,6 +29,7 @@ from cyclopract.arith import (
     prime_powers,
     primes_up_to,
 )
+from oracles import big_omega, divisors_sorted, euler_phi
 
 
 @pytest.fixture(scope="module")

@@ -250,6 +250,26 @@ def test_stats_smallorder_with_theta(capsys):
     assert payload["result"]["count"] >= 0
 
 
+def test_stats_echo_shows_the_thresholds_used(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "stats",
+        "smoothlambda",
+        "--limit",
+        "100",
+        "--theta",
+        "0.1",
+        "--Y",
+        "50",
+        "--format",
+        "json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["config"]["Y"] == payload["result"]["Y"] == 50.0
+    assert payload["config"]["B"] == payload["result"]["B"]
+
+
 def test_stats_omegaphi(capsys):
     code, out, _ = run_cli(capsys, "stats", "omegaphi", "--limit", "100")
     assert code == 0

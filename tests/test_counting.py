@@ -151,6 +151,8 @@ def test_checkpoint_validation(spf10k):
 def test_default_checkpoints_are_decades(spf10k):
     report = count_phi_practical(10**4)
     assert [row.X for row in report.rows] == [100, 1000, 10**4]
+    assert counting._resolve_checkpoints(10**8, None)[-1] == 10**8
+    assert counting._resolve_checkpoints(5 * 10**6, None)[-1] == 10**6
 
 
 def test_renderers_are_deterministic():

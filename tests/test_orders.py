@@ -171,7 +171,7 @@ def test_order_star_is_a_true_order(a, spf10k, order_tables):
 
 @pytest.mark.parametrize("a", [2, 3, 5, 7, 10])
 def test_divisor_divisibility_and_monotone_ratio(a, order_tables):
-    from cyclopract import divisors_sorted
+    from oracles import divisors_sorted
 
     values = order_tables(a, 10**4)
     for n in range(1, 2001):

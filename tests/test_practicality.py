@@ -14,11 +14,11 @@ from cyclopract import (
     is_p_practical,
     is_phi_practical,
     phi_degree_multiset,
-    poly_factor_degrees_oracle,
     verify_witness,
 )
 from cyclopract import practicality
 from cyclopract.practicality import merged_degree_weights
+from oracles import poly_factor_degrees_oracle
 
 SMOOTH_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
