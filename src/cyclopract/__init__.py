@@ -1,7 +1,6 @@
 """Practicality of x^n - 1 divisor degrees over F_p and Z, with count sieves."""
 
 from .analysis import (
-    AnalysisConfig,
     a_q_primes,
     count_z_dense,
     lambda_order_ratio_stats,
@@ -9,6 +8,7 @@ from .analysis import (
     omega_phi_distribution,
     omega_phi_excess,
     omega_phi_threshold,
+    resolve_thresholds,
     small_order_count,
     smooth_lambda_part_count,
     tau_threshold_count,
@@ -39,19 +39,16 @@ from .orders import (
 )
 from .practicality import (
     DegreeMultiset,
-    coverage_check,
     degree_multiset,
     dp_coverage_oracle,
     is_p_practical,
     is_phi_practical,
     phi_degree_multiset,
-    verify_witness,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisConfig",
     "CapacityError",
     "DegreeMultiset",
     "Factorization",
@@ -62,7 +59,6 @@ __all__ = [
     "count_p_practical_partitioned",
     "count_phi_practical",
     "count_z_dense",
-    "coverage_check",
     "degree_multiset",
     "divisor_phi_pairs",
     "dp_coverage_oracle",
@@ -82,10 +78,10 @@ __all__ = [
     "render_csv",
     "render_json",
     "render_text",
+    "resolve_thresholds",
     "sieve_order_star",
     "small_order_count",
     "smooth_lambda_part_count",
     "tau",
     "tau_threshold_count",
-    "verify_witness",
 ]

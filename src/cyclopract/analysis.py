@@ -18,7 +18,6 @@ from operator import add, floordiv, mul
 from .arith import (
     build_spf_table,
     chain_sieve,
-    charge_chain_sieve,
     factorize_trial,
     is_prime,
     lambda_prime_power,
@@ -32,60 +31,50 @@ THETA_MIN = 0.1
 THETA_MAX = 0.9
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
-    """Threshold bundle derived from (theta, X).
+def resolve_thresholds(X: int, theta: float | None, *, Y=None, B=None, Z=None, psi=None,
+                       bound=None) -> dict:
+    """The thresholds Y, B, Z, psi and bound of a scan to X, as a dict.
 
-    Y = exp(110 (log X)^theta (log log X)^2) and B = exp((log X)^theta);
-    Z defaults to Y^2 and psi to Y*B, their values in the dense-divisor
-    argument, but both can be overridden.  All logs are natural.
+    A given value is used as is; without theta the rest are None.  With
+    theta, Y = exp(110 (log X)^theta (log log X)^2) and B = exp((log X)^theta)
+    unless given, the values of the dense-divisor argument, and then, from the
+    Y and B in use, Z = Y^2, psi = Y * B and the small-order bound X / (Y * B),
+    with Z and psi checked.  All logs are natural.
     """
-
-    theta: float
-    X: int
-    Y: float
-    B: float
-    Z: float
-    psi: float
-
-    @classmethod
-    def from_theta(
-        cls,
-        theta: float,
-        X: int,
-        Z: float | None = None,
-        psi: float | None = None,
-    ) -> "AnalysisConfig":
-        if not THETA_MIN <= theta <= THETA_MAX:
-            raise ValueError(f"theta must lie in [{THETA_MIN}, {THETA_MAX}], got {theta}")
-        if X < 3:
-            raise ValueError(f"X must be >= 3, got {X}")
-        lx = log(X)
-        llx = log(lx)
-        try:
+    if theta is None:
+        return {"Y": Y, "B": B, "Z": Z, "psi": psi, "bound": bound}
+    if not THETA_MIN <= theta <= THETA_MAX:
+        raise ValueError(f"theta must lie in [{THETA_MIN}, {THETA_MAX}], got {theta}")
+    if X < 3:
+        raise ValueError(f"X must be >= 3, got {X}")
+    lx = log(X)
+    llx = log(lx)
+    try:
+        if B is None:
             B = exp(lx**theta)
+        if Y is None:
             Y = exp(110.0 * lx**theta * llx * llx)
-        except OverflowError as exc:
-            raise ValueError(
-                f"derived thresholds overflow doubles for X={X}, theta={theta}"
-            ) from exc
-        if Z is None:
-            Z = Y * Y
-        if not isfinite(Z):
-            raise ValueError("Z overflows a double; pass Z explicitly")
-        if Z < 2:
-            raise ValueError(f"Z must be >= 2, got {Z}")
-        if psi is None:
-            psi = Y * B
-        if not isfinite(psi):
-            raise ValueError("psi overflows a double; pass psi explicitly")
-        if psi < llx:
-            raise ValueError(f"psi={psi} is below log log X = {llx}")
-        return cls(theta=theta, X=X, Y=Y, B=B, Z=Z, psi=psi)
-
-    def small_order_bound(self) -> float:
-        """X / (Y * exp((log X)^theta)): the small-order cutoff at X."""
-        return self.X / (self.Y * self.B)
+    except OverflowError as exc:
+        raise ValueError(
+            f"derived thresholds overflow doubles for X={X}, theta={theta}"
+        ) from exc
+    if Z is None:
+        Z = Y * Y
+    if not isfinite(Z):
+        raise ValueError("Z overflows a double; pass Z explicitly")
+    if Z < 2:
+        raise ValueError(f"Z must be >= 2, got {Z}")
+    if psi is None:
+        psi = Y * B
+    if not isfinite(psi):
+        raise ValueError("psi overflows a double; pass psi explicitly")
+    if psi < llx:
+        raise ValueError(f"psi={psi} is below log log X = {llx}")
+    if bound is None:
+        if Y * B == 0:
+            raise ValueError("Y * B is 0; pass bound explicitly")
+        bound = X / (Y * B)
+    return {"Y": Y, "B": B, "Z": Z, "psi": psi, "bound": bound}
 
 
 def omega_phi_threshold(X: int) -> float:
@@ -120,16 +109,13 @@ def count_z_dense(limit: int, z) -> int:
     q^(a+1) * d with its predecessor q^(a+1) * d' <= q^a * M_j in block
     a + 1, and d <= Z * d'.  The divisor-scan reference, ``is_z_dense``,
     lives with the tests, in ``tests/oracles.py``.
-    The sieve's charge is checked before the primes are listed, so a table
-    over the budget fails before the prime sieve runs.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     num, den = _ratio_parts(z)
     if num < 2 * den:
         raise ValueError(f"Z must be >= 2, got {z}")
-    charge_chain_sieve(limit)
-    ok = chain_sieve(limit, primes_up_to(limit), lambda q: -(-q * den // num))
+    ok = chain_sieve(limit, lambda q: -(-q * den // num))
     return ok.count(1)
 
 

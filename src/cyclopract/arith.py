@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from collections import Counter
 from itertools import compress, count, repeat
 from math import gcd, isqrt, lcm, log
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .errors import CapacityError
 
@@ -54,6 +54,12 @@ def charge_budget(nbytes: int, what: str) -> None:
             f"{what} needs {nbytes} bytes but the budget is {budget} "
             f"(set {MEM_BUDGET_ENV} to raise it)"
         )
+
+
+def grown(n: int) -> int:
+    """Entries an array built up to n entries may reserve: CPython
+    over-allocates a growing array by 1/16 of its size plus at most 7."""
+    return n + n // 16 + 7
 
 
 @dataclass(frozen=True)
@@ -148,33 +154,20 @@ def prime_power_sieve(
     The primes come from ``primes_up_to``, whose flags are freed before the
     table is allocated.  The head f[1..limit // q^e] is read through a
     memoryview, so the walk holds the table, the primes, the per-prime
-    values and one temporary of at most limit // 2 entries, plus the
-    1/16 + 7 an array over-allocates while growing (the temporary and the
-    per-prime values grow); it charges that, and 1 KiB for the objects'
-    headers, checking the part that does not depend on the primes before it
-    lists them.  That first refusal also names an upper bound on the whole
-    charge, with pi(limit) bounded by ``prime_count_bound``, so a budget
-    raised to it passes both checks.  The SPF table charges itself.
+    values and one temporary of at most limit // 2 entries, each array but
+    the table with its growth slack (``grown``).  That, with pi(limit)
+    bounded by ``prime_count_bound`` and 1 KiB for the objects' headers, is
+    charged once, before the primes are listed, and a refusal names it.
+    The SPF table charges itself.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    half = limit // 2
-    held = limit + 1 + half + half // 16 + 7
-    try:
-        charge_budget(4 * held + 1024, "prime-power sieve table")
-    except CapacityError as exc:
-        most = prime_count_bound(limit)
-        whole = held + most
-        if per_prime is not None:
-            whole += most + most // 16 + 7
-        raise CapacityError(
-            f"{exc}; the whole sieve needs at most {4 * whole + 1024} bytes"
-        ) from None
-    primes = primes_up_to(limit)
-    held += len(primes)
+    most = grown(prime_count_bound(limit))
+    held = limit + 1 + grown(limit // 2) + most
     if per_prime is not None:
-        held += len(primes) + len(primes) // 16 + 7
+        held += most
     charge_budget(4 * held + 1024, "prime-power sieve")
+    primes = primes_up_to(limit)
     if per_prime is None:
         weights = repeat(0)
     else:
@@ -214,17 +207,16 @@ def primes_up_to(limit: int) -> array:
     zeroes the flags of its odd multiples from r^2 on by one slice write,
     and ``compress`` reads the numbers left set.  The slice written for
     r = 3 is a temporary of at most limit // 6 bytes.  The output holds
-    pi(limit) <= ``prime_count_bound(limit)`` entries, plus the 1/16 + 7 an
-    array over-allocates while growing.  The flags, that temporary and that
-    output are charged together.
+    pi(limit) <= ``prime_count_bound(limit)`` entries, plus its growth slack
+    (``grown``).  The flags, that temporary and that output are charged
+    together.
     """
     if limit < 2:
         return array("I")
     if limit >= 1 << 32:
         raise CapacityError(f"limit {limit} does not fit 32-bit prime entries")
     size = (limit + 1) // 2
-    most = prime_count_bound(limit)
-    charge_budget(size + limit // 6 + 4 * (most + most // 16 + 7), "prime sieve")
+    charge_budget(size + limit // 6 + 4 * grown(prime_count_bound(limit)), "prime sieve")
     flags = bytearray(b"\x01") * size
     for r in range(3, isqrt(limit) + 1, 2):
         if flags[r // 2]:
@@ -234,42 +226,34 @@ def primes_up_to(limit: int) -> array:
     return primes
 
 
-def charge_chain_sieve(limit: int) -> None:
-    """Charge ``chain_sieve(limit, ...)``'s table, its slice temporary and
-    1 KiB; a caller may check it before it lists the primes."""
-    charge_budget(limit + 1 + limit // 2 + 1024, "chain sieve")
-
-
-def chain_sieve(
-    limit: int, primes: Iterable[int], least_cofactor: Callable[[int], int]
-) -> bytearray:
+def chain_sieve(limit: int, least_cofactor: Callable[[int], int]) -> bytearray:
     """ok[n] for every n <= limit: whether the prime chain of n holds, with
-    the primes of n taken in the order of ``primes`` (every prime up to
-    limit, in key order) and q allowed after a cofactor m when
-    m >= least_cofactor(q).
+    the primes of n taken in increasing order and q allowed after a
+    cofactor m when m >= least_cofactor(q).
 
-    The chain of n = q_1^e_1 ... q_r^e_r, primes in key order, holds when
+    The chain of n = q_1^e_1 ... q_r^e_r, q_1 < ... < q_r, holds when
     M_j >= c(q_{j+1}) for every j, M_j being the product of the first j
     prime powers.  ``count_z_dense`` uses it with c(q) = ceil(q * den / num)
     for Z = num/den.
 
-    For each prime q in key order and each q^e <= limit, e ascending, the
+    For each prime q, increasing, and each q^e <= limit, e ascending, the
     sieve sets ok[q^e * m] = ok[m] for every m >= c(q) by one slice copy,
     and zeroes the entries with m < c(q) by another.  Proof sketch: the
-    last write to an n > 1 is made by its last prime q in key order, at the
-    exponent e with q^e exactly dividing n (larger e never reach n, smaller
-    e came before), so ok[n] = ok[m] and m >= c(q) with n = q^e * m.  Every
-    prime of m comes earlier in key order, so ok[m] is already final when
-    it is copied, and by induction it is the chain of m, which is the chain
-    of n without its last link.  Ties in key are harmless: among primes of
-    equal key, the condition M_j >= c for the first of them implies it for
-    the rest, since M_j only grows.  ok[0] is 0 and ok[1] is 1.
+    last write to an n > 1 is made by its largest prime q, at the exponent
+    e with q^e exactly dividing n (larger e never reach n, smaller e came
+    before), so ok[n] = ok[m] and m >= c(q) with n = q^e * m.  Every prime
+    of m is smaller, so ok[m] is already final when it is copied, and by
+    induction it is the chain of m, which is the chain of n without its
+    last link.  ok[0] is 0 and ok[1] is 1.
 
-    Each slice write reads from a temporary of at most limit // 2 bytes, so
-    the sieve charges that with the table, and 1 KiB for the objects'
-    headers and the loop's integers (``charge_chain_sieve``).
+    It holds the table, a slice temporary of at most limit // 2 bytes, the
+    primes from ``primes_up_to`` (whose flags are freed first) with their
+    growth slack, and 1 KiB of headers; that is charged once, before the
+    primes are listed, with pi(limit) bounded by ``prime_count_bound``.
     """
-    charge_chain_sieve(limit)
+    most = grown(prime_count_bound(limit))
+    charge_budget(limit + 1 + limit // 2 + 4 * most + 1024, "chain sieve")
+    primes = primes_up_to(limit)
     ok = bytearray(b"\x01") * (limit + 1)
     ok[0] = 0
     for q in primes:

@@ -17,7 +17,6 @@ from math import isfinite
 from typing import Iterable
 
 from .analysis import (
-    AnalysisConfig,
     a_q_primes,
     count_z_dense,
     dense_count_bound_ratio,
@@ -28,6 +27,7 @@ from .analysis import (
     small_order_count,
     smooth_lambda_part_count,
     tau_bound_ratio,
+    resolve_thresholds,
     tau_threshold_count,
 )
 from .arith import MILLER_RABIN_PROVEN_BELOW, is_prime
@@ -43,10 +43,10 @@ from .errors import CapacityError
 from .orders import sieve_order_star
 from .practicality import (
     degree_multiset,
+    dp_coverage_oracle,
     is_p_practical,
     is_phi_practical,
     phi_degree_multiset,
-    verify_witness,
 )
 
 STAT_SCANNERS = (
@@ -207,7 +207,7 @@ def _cmd_test(args) -> int:
         line += f" witness_gap={verdict.witness_gap}"
         if args.witness:
             ms = phi_degree_multiset(args.n) if args.phi else degree_multiset(args.n, args.prime)
-            sound = verify_witness(ms, verdict.witness_gap)
+            sound = dp_coverage_oracle(ms) == verdict
             line += f" witness_verified={'yes' if sound else 'NO'}"
             if not sound:
                 print(line)
@@ -245,15 +245,10 @@ def _require(parser_hint: str, **needed):
 def _stats_payload(args) -> tuple[dict, list[tuple[str, object, object]]]:
     """Run the chosen scanner; return (summary dict, CSV rows)."""
     limit = args.limit
-    # Each threshold comes from its flag, else from --theta, else is None;
-    # every scanner and the echo read this one dict.
-    given = {"Y": args.Y, "B": args.B, "Z": args.z, "psi": args.psi, "bound": args.bound}
-    derived = {}
-    if args.theta is not None:
-        config = AnalysisConfig.from_theta(args.theta, limit, Z=args.z, psi=args.psi)
-        derived = {"Y": config.Y, "B": config.B, "Z": config.Z, "psi": config.psi,
-                   "bound": config.small_order_bound()}
-    used = {k: derived.get(k) if v is None else v for k, v in given.items()}
+    # Every scanner and the echo read this one dict.
+    used = resolve_thresholds(
+        limit, args.theta, Y=args.Y, B=args.B, Z=args.z, psi=args.psi, bound=args.bound
+    )
 
     scanner = args.scanner
     rows: list[tuple[str, object, object]] = []

@@ -54,17 +54,16 @@ class CountRow:
 
 @dataclass(frozen=True)
 class CountReport:
-    """Rows (X, count, count/(X/log X)) for one practicality kind."""
+    """Rows (X, count, count/(X/log X)) over F_base, or over Z when base is None."""
 
-    kind: str  # "phi" or "p"
-    base: int | None  # prime base when kind == "p"
+    base: int | None
     rows: tuple[CountRow, ...]
 
     def counts(self) -> list[int]:
         return [row.count for row in self.rows]
 
     def label(self) -> str:
-        return "phi" if self.kind == "phi" else str(self.base)
+        return "phi" if self.base is None else str(self.base)
 
 
 def ratio_row(X: int, count: int) -> float:
@@ -321,7 +320,7 @@ def _count(
         partials = [count_part(part) for part in range(parts)]
     totals = [sum(column) for column in zip(*partials)]
     rows = tuple(CountRow(X=x, count=c, ratio=ratio_row(x, c)) for x, c in zip(cps, totals))
-    return CountReport(kind="phi" if p is None else "p", base=p, rows=rows)
+    return CountReport(base=p, rows=rows)
 
 
 def count_p_practical_partitioned(

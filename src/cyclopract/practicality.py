@@ -14,9 +14,9 @@ q^e) and ``phi_ladder``.  ``merged_degree_weights`` builds the degree ->
 weight map from the prime powers of n, and ``greedy_gap`` runs the greedy
 over it; every verdict, ``is_p_practical``, ``is_phi_practical`` and both
 counts, runs this one kernel.  ``degree_multiset`` and
-``phi_degree_multiset`` (one degree per divisor) with ``coverage_check`` and
-a dense subset-sum oracle stay as independent checks; the direct
-polynomial-factorization oracle lives with the tests, in ``tests/oracles.py``.
+``phi_degree_multiset`` (one degree per divisor) with ``dp_coverage_oracle``
+stay as the independent check of ``test --witness``; the divisor-list greedy
+and the polynomial-factorization oracle live in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -85,24 +85,6 @@ def phi_degree_multiset(n: int) -> DegreeMultiset:
     return DegreeMultiset(n=n, entries=entries)
 
 
-def coverage_check(ms: DegreeMultiset) -> PracticalVerdict:
-    """Greedy complete-sequence test over the degree multiset.
-
-    With degrees sorted ascending and reach starting at 0, a degree v with
-    total count c extends reach to reach + v*c provided v <= reach + 1;
-    otherwise reach + 1 is the smallest unreachable target and is reported
-    as the witness.
-    """
-    reach = 0
-    for deg, cnt in sorted(ms.degree_counts().items()):
-        if deg > reach + 1:
-            return PracticalVerdict(practical=False, witness_gap=reach + 1)
-        reach += deg * cnt
-    if reach < ms.n:
-        return PracticalVerdict(practical=False, witness_gap=reach + 1)
-    return PracticalVerdict(practical=True)
-
-
 DEFAULT_ORACLE_CAP = 10**5
 
 
@@ -124,14 +106,6 @@ def dp_reachable_mask(ms: DegreeMultiset) -> int:
             cnt -= take
             chunk <<= 1
     return mask
-
-
-def verify_witness(ms: DegreeMultiset, gap: int) -> bool:
-    """Check a reported witness gap with the DP mask, independently of the
-    greedy: every sum below gap is reachable and gap itself is not."""
-    below = (1 << gap) - 1
-    mask = dp_reachable_mask(ms)
-    return mask & below == below and not (mask >> gap) & 1
 
 
 def dp_coverage_oracle(ms: DegreeMultiset) -> PracticalVerdict:
@@ -185,19 +159,13 @@ def merged_degree_weights(
 
     Start from {1: 1} (the divisor 1) and merge each q^e in: a divisor
     d * q^a of the part built so far has weight phi(d) * phi(q^a).  This is
-    the aggregation ``coverage_check`` makes (weight = degree * count), with
+    ``degree_multiset`` aggregated by degree (weight = degree * count), with
     no divisor list.  The map never has more entries than n has divisors;
     past ``DEFAULT_DIVISOR_CAP`` entries it raises CapacityError.
     """
     weights = {1: 1}
     for q, e in prime_powers:
         steps = ladder(q, e)
-        if steps[-1] == 1:
-            # Every degree divides the last: each d * q^a keeps the degree of d.
-            qe = q**e
-            for deg in weights:
-                weights[deg] *= qe
-            continue
         items = list(weights.items())
         ph = q - 1
         for k in steps:
@@ -213,7 +181,7 @@ def merged_degree_weights(
 
 
 def greedy_gap(weights: dict[int, int]) -> int | None:
-    """The greedy of ``coverage_check`` over a degree -> phi-weight map: the
+    """The complete-sequence greedy over a degree -> phi-weight map: the
     smallest unreachable degree, or None when every target is reachable."""
     reach = 0
     for deg in sorted(weights):
@@ -229,7 +197,7 @@ def is_p_practical(n: int, p: int) -> PracticalVerdict:
     Factors n and each q - 1 once by ``factorize_trial``, takes
     order_star(p, q) by ``prime_order`` once per prime q of n, lifts it to
     q^e by ``order_ladder``, and runs the greedy over
-    ``merged_degree_weights``.  ``coverage_check`` over ``degree_multiset``
+    ``merged_degree_weights``.  ``dp_coverage_oracle`` over ``degree_multiset``
     is the independent oracle for the same verdict and witness.
     """
     if not is_prime(p):
@@ -244,7 +212,7 @@ def is_phi_practical(n: int) -> PracticalVerdict:
     """Does x^n - 1 have a divisor of every degree 1..n over the integers?
 
     The same kernel as ``is_p_practical``, with ``phi_ladder`` and degrees
-    multiplied; ``coverage_check`` over ``phi_degree_multiset`` is the
+    multiplied; ``dp_coverage_oracle`` over ``phi_degree_multiset`` is the
     independent oracle for the same verdict and witness.
     """
     gap = greedy_gap(merged_degree_weights(factorize_trial(n).factors, phi_ladder, mul))

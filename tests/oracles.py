@@ -6,6 +6,9 @@ that shares no code with it:
 - ``poly_factor_degrees_oracle`` factors x^n - 1 over F_p directly, by
   distinct-degree factorization with dense polynomial arithmetic, which is
   the paper's definition of the degree multiset;
+- ``coverage_check`` runs the sorted-degree greedy over one degree per
+  divisor of n (``degree_multiset``, ``phi_degree_multiset``), where the
+  program merges the degrees of the prime powers of n;
 - ``is_z_dense`` scans the sorted divisors of n, the definition that
   ``count_z_dense``'s chain sieve is checked against;
 - ``euler_phi``, ``big_omega`` and ``divisors_sorted`` are the textbook
@@ -23,6 +26,7 @@ from functools import lru_cache
 from cyclopract import CapacityError, Factorization, factorize_trial, is_prime
 from cyclopract.analysis import _ratio_parts
 from cyclopract.arith import divisor_phi_pairs
+from cyclopract.practicality import DegreeMultiset, PracticalVerdict
 
 
 def trim(f: list[int]) -> list[int]:
@@ -165,6 +169,24 @@ def poly_factor_degrees_oracle(n: int, p: int) -> dict[int, int]:
         m //= p
         scale *= p
     return {deg: cnt * scale for deg, cnt in _squarefree_cyclo_counts(m, p)}
+
+
+def coverage_check(ms: DegreeMultiset) -> PracticalVerdict:
+    """Greedy complete-sequence test over the degree multiset.
+
+    With degrees sorted ascending and reach starting at 0, a degree v with
+    total count c extends reach to reach + v*c provided v <= reach + 1;
+    otherwise reach + 1 is the smallest unreachable target and is reported
+    as the witness.
+    """
+    reach = 0
+    for deg, cnt in sorted(ms.degree_counts().items()):
+        if deg > reach + 1:
+            return PracticalVerdict(practical=False, witness_gap=reach + 1)
+        reach += deg * cnt
+    if reach < ms.n:
+        return PracticalVerdict(practical=False, witness_gap=reach + 1)
+    return PracticalVerdict(practical=True)
 
 
 def divisors_sorted(f: Factorization) -> list[int]:

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclopract import (
-    AnalysisConfig,
     CapacityError,
     a_q_primes,
     carmichael_lambda,
@@ -23,14 +22,15 @@ from cyclopract import (
     omega_phi_distribution,
     omega_phi_excess,
     omega_phi_threshold,
+    resolve_thresholds,
     sieve_order_star,
     small_order_count,
     smooth_lambda_part_count,
     tau,
     tau_threshold_count,
 )
-from cyclopract import analysis
-from cyclopract.arith import MEM_BUDGET_ENV, chain_sieve, prime_powers, primes_up_to
+from cyclopract import analysis, arith
+from cyclopract.arith import MEM_BUDGET_ENV, chain_sieve, prime_powers
 from oracles import big_omega, euler_phi, is_z_dense
 
 
@@ -121,7 +121,7 @@ def test_z_dense_chain_matches_divisor_scan(spf100k, z):
     # The chain sieve that count_z_dense runs, the per-n chain and the
     # divisor scan agree on every n <= 10^5.
     num, den = z.as_integer_ratio()
-    ok = chain_sieve(10**5, primes_up_to(10**5), lambda q: -(-q * den // num))
+    ok = chain_sieve(10**5, lambda q: -(-q * den // num))
     assert ok[0] == 0
     for n in range(1, 10**5 + 1):
         dense = is_z_dense(n, z)
@@ -187,14 +187,17 @@ def test_a_q_checks_its_spf_table_before_listing_primes(monkeypatch):
 
 
 def test_z_dense_checks_its_chain_sieve_before_listing_primes(monkeypatch):
-    # A budget one byte below the chain sieve's table, its temporary and
-    # 1 KiB fails before the prime sieve runs.
+    # A budget one byte below the chain sieve's whole charge (its table, its
+    # temporary, the primes with an array's growth slack, pi(x) < 1.25506 x
+    # / log x, and 1 KiB) fails before the prime sieve runs.
     def unlisted(limit):
         raise AssertionError("primes listed before the budget check")
 
-    monkeypatch.setattr(analysis, "primes_up_to", unlisted)
+    monkeypatch.setattr(arith, "primes_up_to", unlisted)
     limit = 10**5
-    monkeypatch.setenv(MEM_BUDGET_ENV, str(limit + 1 + limit // 2 + 1024 - 1))
+    most = int(1.25506 * limit / math.log(limit)) + 1
+    charge = limit + 1 + limit // 2 + 4 * (most + most // 16 + 7) + 1024
+    monkeypatch.setenv(MEM_BUDGET_ENV, str(charge - 1))
     with pytest.raises(CapacityError):
         count_z_dense(limit, 2)
 
@@ -295,29 +298,41 @@ def test_counters_monotone_in_limit(order_tables):
 
 
 def test_analysis_config_derivation():
-    cfg = AnalysisConfig.from_theta(0.1, 100)
+    cfg = resolve_thresholds(100, 0.1)
     lx = math.log(100)
-    assert cfg.B == math.exp(lx**0.1)
-    assert cfg.Y == pytest.approx(math.exp(110 * lx**0.1 * math.log(lx) ** 2), rel=1e-12)
-    assert cfg.Z == cfg.Y * cfg.Y
-    assert cfg.psi == cfg.Y * cfg.B
-    assert cfg.small_order_bound() == 100 / (cfg.Y * cfg.B)
+    assert cfg["B"] == math.exp(lx**0.1)
+    assert cfg["Y"] == pytest.approx(math.exp(110 * lx**0.1 * math.log(lx) ** 2), rel=1e-12)
+    assert cfg["Z"] == cfg["Y"] * cfg["Y"]
+    assert cfg["psi"] == cfg["Y"] * cfg["B"]
+    assert cfg["bound"] == 100 / (cfg["Y"] * cfg["B"])
     # recomputation is bit-identical
-    again = AnalysisConfig.from_theta(0.1, 100)
-    assert (again.Y, again.B, again.Z, again.psi) == (cfg.Y, cfg.B, cfg.Z, cfg.psi)
+    assert resolve_thresholds(100, 0.1) == cfg
+
+
+def test_resolve_thresholds_feeds_a_given_y_to_z_psi_and_bound():
+    cfg = resolve_thresholds(100, 0.1, Y=2)
+    assert cfg["Y"] == 2
+    assert cfg["B"] == math.exp(math.log(100) ** 0.1)
+    assert cfg["Z"] == 4
+    assert cfg["psi"] == 2 * cfg["B"]
+    assert cfg["bound"] == 100 / (2 * cfg["B"])
+    # Without theta nothing is derived or checked.
+    assert resolve_thresholds(100, None, Z=1.5) == {
+        "Y": None, "B": None, "Z": 1.5, "psi": None, "bound": None
+    }
 
 
 def test_analysis_config_validation():
     with pytest.raises(ValueError):
-        AnalysisConfig.from_theta(0.05, 100)
+        resolve_thresholds(100, 0.05)
     with pytest.raises(ValueError):
-        AnalysisConfig.from_theta(0.95, 100)
+        resolve_thresholds(100, 0.95)
     with pytest.raises(ValueError):
-        AnalysisConfig.from_theta(0.5, 10**6)  # Y overflows doubles
+        resolve_thresholds(10**6, 0.5)  # Y overflows doubles
     with pytest.raises(ValueError):
-        AnalysisConfig.from_theta(0.1, 100, Z=1.5)
+        resolve_thresholds(100, 0.1, Z=1.5)
     with pytest.raises(ValueError):
-        AnalysisConfig.from_theta(0.1, 100, psi=0.1)  # below log log X
+        resolve_thresholds(100, 0.1, psi=0.1)  # below log log X
 
 
 # Property tests: every prime_power_sieve table against a per-n reference

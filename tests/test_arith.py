@@ -238,13 +238,27 @@ def test_factorize_trial_beyond_trial_division():
     assert factorize_trial(2**80 * 999983).factors == ((2, 80), (999983, 1))
 
 
-def test_prime_power_sieve_charges_table_and_temporary(monkeypatch):
-    # The table, the temporary for q = 2 with an array's growth slack, the
-    # primes (168 up to 1000) and 1 KiB for object headers; at 10^5
-    # tracemalloc's peak stays within that charge.
-    limit = 1000
+def grown_primes(limit):
+    """pi(limit) < 1.25506 limit / log limit entries with an array's growth slack."""
+    most = int(1.25506 * limit / math.log(limit)) + 1
+    return most + most // 16 + 7
+
+
+def sieve_charge(limit, per_prime):
+    """The prime-power sieve's whole charge: the table, the temporary for
+    q = 2 and the primes, with the per-prime values when there are any,
+    each but the table with an array's growth slack, and 1 KiB for object
+    headers."""
     half = limit // 2
-    charge = 4 * (limit + 1 + half + half // 16 + 7 + 168) + 1024
+    values = 2 if per_prime else 1
+    return 4 * (limit + 1 + half + half // 16 + 7 + values * grown_primes(limit)) + 1024
+
+
+def test_prime_power_sieve_charges_table_and_temporary(monkeypatch):
+    # The whole charge is refused one byte below it and passes at it; at
+    # 10^5 tracemalloc's peak stays within that charge.
+    limit = 1000
+    charge = sieve_charge(limit, None)
     tau_of = lambda q, e, _: e + 1
     monkeypatch.setenv(MEM_BUDGET_ENV, str(charge - 1))
     with pytest.raises(CapacityError):
@@ -253,7 +267,7 @@ def test_prime_power_sieve_charges_table_and_temporary(monkeypatch):
     assert prime_power_sieve(limit, tau_of, operator.mul)[720] == 30
     limit = 10**5
     half = limit // 2
-    charge = 4 * (limit + 1 + half + half // 16 + 7 + 9592) + 1024
+    charge = sieve_charge(limit, None)
     monkeypatch.setenv(MEM_BUDGET_ENV, str(charge))
     tracemalloc.start()
     try:
@@ -270,15 +284,14 @@ def omega_q_minus_1(q, spf):
 
 
 def test_prime_power_sieve_frees_its_spf_table_first(monkeypatch):
-    # With a per-prime value the charge adds the per-prime array, pi(N)
-    # entries with an array's growth slack.  The pass's SPF table is freed
-    # before the sieve's table is allocated: at 10^5 tracemalloc's peak
-    # stays within the charge, and below the SPF table and the sieve's
-    # table with its temporary held together.
+    # With a per-prime value the charge adds the per-prime array, as many
+    # entries as the primes.  The pass's SPF table is freed before the
+    # sieve's table is allocated: at 10^5 tracemalloc's peak stays within
+    # the charge, and below the SPF table and the sieve's table with its
+    # temporary held together.
     omega_phi_of = lambda q, e, omega: e - 1 + omega
     limit = 1000
-    half = limit // 2
-    charge = 4 * (limit + 1 + half + half // 16 + 7 + 168 + 168 + 168 // 16 + 7) + 1024
+    charge = sieve_charge(limit, omega_q_minus_1)
     monkeypatch.setenv(MEM_BUDGET_ENV, str(charge - 1))
     with pytest.raises(CapacityError):
         prime_power_sieve(limit, omega_phi_of, operator.add, 0, omega_q_minus_1)
@@ -289,7 +302,7 @@ def test_prime_power_sieve_frees_its_spf_table_first(monkeypatch):
     ]
     limit = 10**5
     half = limit // 2
-    charge = 4 * (limit + 1 + half + half // 16 + 7 + 2 * 9592 + 9592 // 16 + 7) + 1024
+    charge = sieve_charge(limit, omega_q_minus_1)
     monkeypatch.setenv(MEM_BUDGET_ENV, str(charge))
     tracemalloc.start()
     try:
@@ -304,51 +317,53 @@ def test_prime_power_sieve_frees_its_spf_table_first(monkeypatch):
 
 @pytest.mark.parametrize("per_prime", [None, omega_q_minus_1])
 def test_prime_power_sieve_checks_its_table_before_listing_primes(monkeypatch, per_prime):
-    # A budget one byte below the table and its temporary fails before the
-    # prime sieve runs.
+    # A budget one byte below the whole charge fails before the prime sieve
+    # runs; at the charge the sieve goes on to list the primes.
     def unlisted(limit):
         raise AssertionError("primes listed before the budget check")
 
     monkeypatch.setattr(arith, "primes_up_to", unlisted)
     limit = 10**5
-    half = limit // 2
-    charge = 4 * (limit + 1 + half + half // 16 + 7) + 1024
+    charge = sieve_charge(limit, per_prime)
     monkeypatch.setenv(MEM_BUDGET_ENV, str(charge - 1))
     with pytest.raises(CapacityError):
+        prime_power_sieve(limit, lambda q, e, w: e + w, operator.add, 0, per_prime)
+    monkeypatch.setenv(MEM_BUDGET_ENV, str(charge))
+    with pytest.raises(AssertionError, match="primes listed"):
         prime_power_sieve(limit, lambda q, e, w: e + w, operator.add, 0, per_prime)
 
 
 @pytest.mark.parametrize("per_prime", [None, omega_q_minus_1])
-def test_prime_power_sieve_first_refusal_bounds_the_whole_charge(monkeypatch, per_prime):
-    # The refusal made before the primes are listed names an upper bound on
-    # the whole charge; a budget raised to it passes both checks.
+def test_prime_power_sieve_refusal_names_a_passing_budget(monkeypatch, per_prime):
+    # The refusal names the whole charge; a budget raised to it passes.
     limit = 10**5
     value = lambda q, e, w: e + w
     monkeypatch.setenv(MEM_BUDGET_ENV, "1000")
     with pytest.raises(CapacityError) as refused:
         prime_power_sieve(limit, value, operator.add, 0, per_prime)
-    named = re.search(r"the whole sieve needs at most (\d+) bytes", str(refused.value))
+    named = re.search(r"prime-power sieve needs (\d+) bytes", str(refused.value))
     assert named, str(refused.value)
+    assert int(named[1]) == sieve_charge(limit, per_prime)
     monkeypatch.setenv(MEM_BUDGET_ENV, named[1])
     values = prime_power_sieve(limit, value, operator.add, 0, per_prime)
     assert len(values) == limit + 1
 
 
 def test_chain_sieve_charges_table_and_temporary(monkeypatch):
-    # The table, the slice temporary of up to limit // 2 bytes, and 1 KiB for
-    # object headers; tracemalloc's peak stays within that charge.
+    # The table, the slice temporary of up to limit // 2 bytes, the primes
+    # with an array's growth slack, and 1 KiB for object headers;
+    # tracemalloc's peak stays within that charge.
     limit = 10**5
-    primes = list(primes_up_to(limit))
     half_up = lambda q: -(-q // 2)  # the chain of Z-dense with Z = 2
-    charge = limit + 1 + limit // 2 + 1024
+    charge = limit + 1 + limit // 2 + 4 * grown_primes(limit) + 1024
     monkeypatch.setenv(MEM_BUDGET_ENV, str(charge - 1))
     with pytest.raises(CapacityError):
-        chain_sieve(limit, primes, half_up)
+        chain_sieve(limit, half_up)
     monkeypatch.setenv(MEM_BUDGET_ENV, str(charge))
-    chain_sieve(100, primes[:25], half_up)  # warm the call path before tracing
+    chain_sieve(100, half_up)  # warm the call path before tracing
     tracemalloc.start()
     try:
-        ok = chain_sieve(limit, primes, half_up)
+        ok = chain_sieve(limit, half_up)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

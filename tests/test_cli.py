@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cyclopract
-from cyclopract import mult_order_star
+from cyclopract import cli, mult_order_star
 from cyclopract.cli import _parse_count_arg, build_parser, main
+from cyclopract.practicality import PracticalVerdict
 
 
 def run_cli(capsys, *argv):
@@ -36,6 +37,16 @@ def test_test_subcommand_witness(capsys):
     code, out, _ = run_cli(capsys, "test", "10", "--phi", "--witness")
     assert code == 0
     assert out == "n=10 kind=phi practical=no witness_gap=3 witness_verified=yes\n"
+
+
+def test_test_subcommand_wrong_witness_is_not_verified(capsys, monkeypatch):
+    # A verdict whose gap the DP oracle does not confirm prints NO and exits 1.
+    monkeypatch.setattr(
+        cli, "is_phi_practical", lambda n: PracticalVerdict(practical=False, witness_gap=4)
+    )
+    code, out, _ = run_cli(capsys, "test", "10", "--phi", "--witness")
+    assert code == 1
+    assert out == "n=10 kind=phi practical=no witness_gap=4 witness_verified=NO\n"
 
 
 def test_test_subcommand_prime_witness(capsys):
@@ -268,6 +279,32 @@ def test_stats_echo_shows_the_thresholds_used(capsys):
     payload = json.loads(out)
     assert payload["config"]["Y"] == payload["result"]["Y"] == 50.0
     assert payload["config"]["B"] == payload["result"]["B"]
+
+
+def test_stats_theta_derives_from_a_given_y(capsys):
+    # Z, psi and the small-order bound come from the Y in use, here --Y.
+    argv = ("stats", "smallorder", "--base", "2", "--limit", "100", "--theta", "0.1")
+    code, out, _ = run_cli(capsys, *argv, "--Y", "2")
+    assert code == 0
+    assert out == (
+        "stat,n_or_prime,value\n"
+        "small_order_bound,100,15.596189871087324\n"
+        "small_order_count,100,65\n"
+    )
+    # A given Y of 0 leaves no bound to derive: an error line, not a traceback.
+    code, out, err = run_cli(capsys, *argv, "--Y", "0", "--z", "4", "--psi", "100")
+    assert (code, out, err) == (1, "", "error: Y * B is 0; pass bound explicitly\n")
+
+
+def test_stats_theta_leaves_a_given_y_underived(capsys):
+    # The derived Y would overflow doubles at theta = 0.5; with --Y and --B
+    # given it is never computed.
+    code, out, _ = run_cli(
+        capsys, "stats", "smoothlambda", "--limit", "1e5", "--theta", "0.5",
+        "--Y", "50", "--B", "7",
+    )
+    assert code == 0
+    assert out == "stat,n_or_prime,value\nsmooth_lambda_count,100000,48629\n"
 
 
 def test_stats_omegaphi(capsys):

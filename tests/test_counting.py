@@ -7,7 +7,6 @@ import pytest
 from cyclopract import (
     count_p_practical_partitioned,
     count_phi_practical,
-    coverage_check,
     degree_multiset,
     mult_order_star,
     phi_degree_multiset,
@@ -20,6 +19,7 @@ from cyclopract import counting
 from cyclopract.arith import Factorization, divisor_phi_pairs, prime_powers, primes_up_to
 from cyclopract.counting import _p_walk, _phi_walk
 from cyclopract.practicality import merged_degree_weights, phi_ladder
+from oracles import coverage_check
 
 
 def p_chain(n, spf, order_values):
@@ -168,9 +168,9 @@ def test_renderers_are_deterministic():
 
 def test_report_metadata():
     rep_p = count_p_practical_partitioned(3, 1000, [1000])
-    assert (rep_p.kind, rep_p.base, rep_p.label()) == ("p", 3, "3")
+    assert (rep_p.base, rep_p.label()) == (3, "3")
     rep_phi = count_phi_practical(1000, [1000])
-    assert (rep_phi.kind, rep_phi.base, rep_phi.label()) == ("phi", None, "phi")
+    assert (rep_phi.base, rep_phi.label()) == (None, "phi")
     for row in rep_p.rows + rep_phi.rows:
         assert row.ratio == ratio_row(row.X, row.count)
 

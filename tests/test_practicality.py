@@ -8,17 +8,15 @@ from hypothesis import strategies as st
 from cyclopract import (
     CapacityError,
     DegreeMultiset,
-    coverage_check,
     degree_multiset,
     dp_coverage_oracle,
     is_p_practical,
     is_phi_practical,
     phi_degree_multiset,
-    verify_witness,
 )
 from cyclopract import practicality
 from cyclopract.practicality import merged_degree_weights
-from oracles import poly_factor_degrees_oracle
+from oracles import coverage_check, poly_factor_degrees_oracle
 
 SMOOTH_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -137,7 +135,7 @@ def test_witness_is_sound_on_samples(order_tables):
         checked += 1
         gap = verdict.witness_gap
         assert 2 <= gap <= n
-        assert verify_witness(ms, gap)
+        assert dp_coverage_oracle(ms) == verdict
 
 
 def test_poly_oracle_tiny():
@@ -178,8 +176,10 @@ def test_greedy_agrees_with_dp_on_arbitrary_multisets(entries):
     verdict = coverage_check(ms)
     assert verdict == dp_coverage_oracle(ms)
     if not verdict.practical:
-        assert verify_witness(ms, verdict.witness_gap)
-        assert not verify_witness(ms, verdict.witness_gap + 1)
+        # every sum below the gap is reachable and the gap is not
+        below = (1 << verdict.witness_gap) - 1
+        mask = practicality.dp_reachable_mask(ms)
+        assert mask & below == below and not (mask >> verdict.witness_gap) & 1
 
 
 
