@@ -18,9 +18,12 @@ from operator import add, floordiv, mul
 from .arith import (
     build_spf_table,
     chain_sieve,
+    charge_budget,
     factorize_trial,
+    grown,
     is_prime,
     lambda_prime_power,
+    prime_count_bound,
     prime_power_sieve,
     prime_powers,
     primes_up_to,
@@ -73,6 +76,8 @@ def resolve_thresholds(X: int, theta: float | None, *, Y=None, B=None, Z=None, p
     if bound is None:
         if Y * B == 0:
             raise ValueError("Y * B is 0; pass bound explicitly")
+        if not isfinite(Y * B):
+            raise ValueError("Y * B overflows a double; pass bound explicitly")
         bound = X / (Y * B)
     return {"Y": Y, "B": B, "Z": Z, "psi": psi, "bound": bound}
 
@@ -130,14 +135,21 @@ def dense_count_bound_ratio(limit: int, z, count: int) -> float:
 def a_q_primes(a: int, q: int, bound: int) -> list[tuple[int, int]]:
     """(p, ord(a mod p)) for the primes p <= bound with p = 1 (mod q) and
     a^((p-1)/q) = 1 (mod p); an SPF table to bound factors each p - 1 for
-    its order.  The table is built before the primes are listed, so a table
-    over the budget fails before the prime sieve runs."""
+    its order.  One charge, made before the table is built, covers all the
+    scan holds: the table with its build temporary, the prime sieve, and at
+    most min(pi(bound), (bound - 1) // 2q) rows (each p is 1 mod 2q) of 128
+    bytes, a list slot, a 2-tuple and two ints; arrays and the list with
+    their growth slack (``grown``), and 1 KiB of headers."""
     if a < 2:
         raise ValueError(f"a must be >= 2, got {a}")
     if q < 3 or q % 2 == 0 or not is_prime(q):
         raise ValueError(f"q must be an odd prime, got {q}")
     if bound < q:
         raise ValueError(f"bound must be >= q, got {bound}")
+    table = 4 * grown(bound + 1) + 2 * (bound + 1)
+    sieve = (bound + 1) // 2 + bound // 6 + 4 * grown(prime_count_bound(bound))
+    rows = grown(min(prime_count_bound(bound), (bound - 1) // (2 * q)))
+    charge_budget(table + sieve + 128 * rows + 1024, "A_q scan")
     spf = build_spf_table(bound)
     primes = primes_up_to(bound)
     return [

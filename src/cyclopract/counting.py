@@ -17,6 +17,8 @@ Below a node m that fails the greedy with gap g, the bound on a child's
 key tightens from m + 1 to g, by the same argument with g for m + 1: a
 prime of larger key adds no degree up to g, so the gap stays open in the
 child and in every node beneath it, and the walk does not visit them.
+Nor does it look for children below a node n when no prime after n's last
+fits under N / n.
 
 Over F_p the keys are computed at the chain primes alone
 (``orders.prime_order_keys``, from one byte sieve of the primes up to N); no
@@ -181,6 +183,18 @@ def _walk(
     - q = p has key 1 and is never pruned: degree 1 has weight at least 1,
       so g >= 2.
 
+    Childless nodes.  ``least[i]`` is the least prime of rank i or later in
+    key order, limit + 1 past the last rank, from one backward pass.  The
+    walk calls descend(n, ., lo) only when least[lo] <= limit // n.
+    - descend(n, ., lo) lists only primes of rank at least lo and at most
+      limit // n.  If the least such prime exceeds limit // n, that list is
+      empty.
+    - The powers q^e are taken in the caller's loop, not in ``descend``, so
+      a skipped call would have visited no node.
+    - So the check drops no node, changes no verdict and no greedy call, and
+      deals no depth-2 node: the parts below are unchanged.
+    - least >= 2, so the check also keeps the walk to n <= limit / 2.
+
     Parts.  The walk order does not depend on ``part``: every part settles
     the nodes above depth 2, so every part prunes alike.  The depth-2 nodes
     are numbered in that order, and a part visits and descends into those
@@ -192,7 +206,8 @@ def _walk(
     by_key = sorted(primes, key=keys.__getitem__)
     key_order = [keys[q] for q in by_key]
     rank = {q: i for i, q in enumerate(by_key)}
-    half = limit // 2
+    # least[i]: the least prime of rank i or later; limit + 1 past the end.
+    least = list(accumulate(reversed(by_key), min, initial=limit + 1))[::-1]
     stack: list[tuple[int, int]] = []  # the prime powers of the node, in key order
     dealt = -1  # the number of the last depth-2 node
 
@@ -222,7 +237,7 @@ def _walk(
                         child = greedy_gap(merged_degree_weights(stack, ladder, combine))
                     if depth > 1 or part == 0:
                         visit(n, child is None)
-                    if n <= half:
+                    if least[rank[q] + 1] <= cap // qe:
                         descend(n, child, rank[q] + 1)
                 stack.pop()
                 qe *= q

@@ -1,6 +1,7 @@
 import collections
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -186,6 +187,52 @@ def test_a_q_checks_its_spf_table_before_listing_primes(monkeypatch):
         a_q_primes(2, 3, 10**5)
 
 
+def a_q_charge(q, bound):
+    """The A_q scan's whole charge: the SPF table with an array's growth
+    slack and its build temporary, the prime sieve's flags and temporary,
+    the primes with their slack, at most min(pi(bound), (bound - 1) // 2q)
+    rows of 128 bytes with a list's slack, and 1 KiB for object headers."""
+    grown = lambda n: n + n // 16 + 7
+    most = int(1.25506 * bound / math.log(bound)) + 1
+    table = 4 * grown(bound + 1) + 2 * (bound + 1)
+    sieve = (bound + 1) // 2 + bound // 6 + 4 * grown(most)
+    return table + sieve + 128 * grown(min(most, (bound - 1) // (2 * q))) + 1024
+
+
+def test_a_q_charges_its_whole_peak_before_listing_primes(monkeypatch):
+    # One byte below the whole charge fails before the SPF table is built
+    # or the primes are listed; at the charge the scan goes on to list them.
+    # At 10^5 tracemalloc's peak stays within the charge, also for a = 8,
+    # a cube, where every p = 1 (mod 3) is a row.
+    def unmade(limit):
+        raise AssertionError("made before the budget check")
+
+    bound = 10**5
+    charge = a_q_charge(3, bound)
+    with monkeypatch.context() as patched:
+        patched.setattr(analysis, "primes_up_to", unmade)
+        patched.setattr(analysis, "build_spf_table", unmade)
+        patched.setenv(MEM_BUDGET_ENV, str(charge - 1))
+        with pytest.raises(CapacityError, match=f"A_q scan needs {charge} bytes"):
+            a_q_primes(2, 3, bound)
+    with monkeypatch.context() as patched:
+        patched.setattr(analysis, "primes_up_to", unmade)
+        patched.setenv(MEM_BUDGET_ENV, str(charge))
+        with pytest.raises(AssertionError, match="made before"):
+            a_q_primes(2, 3, bound)
+    monkeypatch.setenv(MEM_BUDGET_ENV, str(charge))
+    for a, rows in ((2, 1559), (8, 4784)):
+        a_q_primes(a, 3, 100)  # warm the call path before tracing
+        tracemalloc.start()
+        try:
+            pairs = a_q_primes(a, 3, bound)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) == rows
+        assert 4 * (bound + 1) + 100 * rows <= peak <= charge, (a, peak)
+
+
 def test_z_dense_checks_its_chain_sieve_before_listing_primes(monkeypatch):
     # A budget one byte below the chain sieve's whole charge (its table, its
     # temporary, the primes with an array's growth slack, pi(x) < 1.25506 x
@@ -320,6 +367,15 @@ def test_resolve_thresholds_feeds_a_given_y_to_z_psi_and_bound():
     assert resolve_thresholds(100, None, Z=1.5) == {
         "Y": None, "B": None, "Z": 1.5, "psi": None, "bound": None
     }
+
+
+def test_resolve_thresholds_refuses_an_overflowing_y_times_b():
+    # At X = 15391 and theta = 0.1, Y and B are finite doubles but Y * B is
+    # not, and X / (Y * B) would be a bound of 0.0.  A given bound is used.
+    cfg = dict(Z=3, psi=100)
+    with pytest.raises(ValueError, match="Y \\* B overflows a double"):
+        resolve_thresholds(15391, 0.1, **cfg)
+    assert resolve_thresholds(15391, 0.1, **cfg, bound=5)["bound"] == 5
 
 
 def test_analysis_config_validation():

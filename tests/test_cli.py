@@ -296,6 +296,14 @@ def test_stats_theta_derives_from_a_given_y(capsys):
     assert (code, out, err) == (1, "", "error: Y * B is 0; pass bound explicitly\n")
 
 
+def test_stats_refuses_a_bound_from_an_overflowing_y_times_b(capsys):
+    # At 15391 the derived Y and B are finite and their product is not: an
+    # error line, not a count against a bound of 0.0.
+    argv = ("stats", "smallorder", "--base", "2", "--limit", "15391", "--theta", "0.1")
+    code, out, err = run_cli(capsys, *argv, "--z", "3", "--psi", "100")
+    assert (code, out, err) == (1, "", "error: Y * B overflows a double; pass bound explicitly\n")
+
+
 def test_stats_theta_leaves_a_given_y_underived(capsys):
     # The derived Y would overflow doubles at theta = 0.5; with --Y and --B
     # given it is never computed.

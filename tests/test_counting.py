@@ -182,8 +182,9 @@ def test_phi_stream_agrees_with_single_shot():
         assert streamed == coverage_check(phi_degree_multiset(n)).practical, n
 
 
-def unfiltered_greedy(n, spf, order_values):
-    """The sorted (degree, phi) greedy over every divisor of n, no prefilter."""
+def unfiltered_gap(n, spf, order_values):
+    """The sorted (degree, phi) greedy over every divisor of n, no
+    prefilter: its gap, or None when n is practical."""
     pairs = divisor_phi_pairs(Factorization(n, tuple(prime_powers(n, spf))))
     if order_values is None:
         degrees = sorted((ph, ph) for _, ph in pairs)
@@ -192,9 +193,9 @@ def unfiltered_greedy(n, spf, order_values):
     reach = 0
     for deg, ph in degrees:
         if deg > reach + 1:
-            return False
+            return reach + 1
         reach += ph
-    return True
+    return None
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, None])
@@ -205,7 +206,7 @@ def test_chain_never_rejects_a_practical_n(spf100k, order_tables, p):
     ov = None if p is None else order_tables(p, 10**5)
     nodes = walked(chain_walk(p, 10**5))
     for n in range(1, 10**5 + 1):
-        practical = unfiltered_greedy(n, spf100k, ov)
+        practical = unfiltered_gap(n, spf100k, ov) is None
         if n in nodes:
             assert phi_chain(n, spf100k) if p is None else p_chain(n, spf100k, ov), n
             assert nodes[n] == practical, n
@@ -257,7 +258,7 @@ def test_memoized_decider_matches_plain_greedy(spf100k, order_tables, monkeypatc
     assert calls < len(whole) // 4, (calls, len(whole))
     monkeypatch.undo()
     for n, practical in whole.items():
-        assert practical == unfiltered_greedy(n, spf100k, ov), (p, n)
+        assert practical == (unfiltered_gap(n, spf100k, ov) is None), (p, n)
     yes = {n for n, practical in whole.items() if practical}
     for parts in (2, 3, 7):
         seen, seen_yes = set(), set()
@@ -347,3 +348,49 @@ def test_gap_lemma_against_oracle(order_tables, p):
                 qe *= q
     # 13.0k to 18.7k cases here, 437 to 995 of them with e >= 2.
     assert cases > 10**4 and lifted > 400 and sharp > 0, (cases, lifted, sharp)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, None])
+def test_walk_visits_exactly_the_pruned_chain_tree(spf100k, order_tables, p):
+    # The walk's tree, stated without the walk: take the prime powers of n
+    # in key order (ties by q) and their prefix products m_j.  n is a node
+    # when every next key is at most m_j + 1 below a practical m_j, and at
+    # most gap(m_j) below one that fails; the gaps are the unfiltered
+    # greedy's.
+    limit = 2 * 10**4
+    ov = None if p is None else order_tables(p, limit)
+    key = (lambda q: q - 1) if p is None else ov.__getitem__
+    gaps = [None] + [unfiltered_gap(m, spf100k, ov) for m in range(1, limit + 1)]
+    tree = set()
+    for n in range(1, limit + 1):
+        m = 1
+        for q, e in sorted(prime_powers(n, spf100k), key=lambda pe: (key(pe[0]), pe[0])):
+            if key(q) > (m + 1 if gaps[m] is None else gaps[m]):
+                break
+            m *= q**e
+        else:
+            tree.add(n)
+    nodes = walked(chain_walk(p, limit))
+    assert nodes.keys() == tree, p
+    assert all(practical == (gaps[n] is None) for n, practical in nodes.items()), p
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, None])
+def test_walk_skips_childless_nodes(monkeypatch, p):
+    # Each descend into a node makes two bisect_right calls.  The walk
+    # descends only where a later prime fits under limit // n: 677 to 1,321
+    # calls for 9,520 to 17,912 nodes at 10^5, where descending into every
+    # n <= limit / 2 made 5,156 to 9,504.
+    walk = chain_walk(p, 10**5)
+    bisect_right = counting.bisect_right
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return bisect_right(*args)
+
+    monkeypatch.setattr(counting, "bisect_right", counted)
+    nodes = walked(walk)
+    assert calls % 2 == 0
+    assert calls // 2 < len(nodes) // 8, (calls // 2, len(nodes))
