@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from math import exp, isfinite, lcm, log
 from operator import add, floordiv, mul
+from typing import NamedTuple
 
 from .arith import (
     build_spf_table,
@@ -27,6 +27,7 @@ from .arith import (
     prime_power_sieve,
     prime_powers,
     primes_up_to,
+    spf_table_bytes,
 )
 from .orders import prime_order
 
@@ -146,7 +147,7 @@ def a_q_primes(a: int, q: int, bound: int) -> list[tuple[int, int]]:
         raise ValueError(f"q must be an odd prime, got {q}")
     if bound < q:
         raise ValueError(f"bound must be >= q, got {bound}")
-    table = 4 * grown(bound + 1) + 2 * (bound + 1)
+    table = spf_table_bytes(bound)
     sieve = (bound + 1) // 2 + bound // 6 + 4 * grown(prime_count_bound(bound))
     rows = grown(min(prime_count_bound(bound), (bound - 1) // (2 * q)))
     charge_budget(table + sieve + 128 * rows + 1024, "A_q scan")
@@ -172,8 +173,7 @@ def lambda_star_table(limit: int, skip_base: int) -> array:
     return prime_power_sieve(limit, lambda_coprime, lcm)
 
 
-@dataclass(frozen=True)
-class RatioStats:
+class RatioStats(NamedTuple):
     """Histogram of P(lambda(n_(a)) / order_star(a, n)) over n <= limit."""
 
     counts: dict[int, int]

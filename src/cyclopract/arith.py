@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import os
 from array import array
-from dataclasses import dataclass
 from collections import Counter
 from itertools import compress, count, repeat
 from math import gcd, isqrt, lcm, log
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import CapacityError
 
@@ -62,8 +61,13 @@ def grown(n: int) -> int:
     return n + n // 16 + 7
 
 
-@dataclass(frozen=True)
-class Factorization:
+def spf_table_bytes(limit: int) -> int:
+    """Peak bytes of ``build_spf_table(limit)``: the table with its growth
+    slack and the temporary half its size written for p = 2."""
+    return 4 * grown(limit + 1) + 2 * (limit + 1)
+
+
+class Factorization(NamedTuple):
     """Prime-exponent decomposition of a positive integer.
 
     ``factors`` lists (prime, exponent) pairs with strictly increasing primes;
@@ -83,14 +87,15 @@ def build_spf_table(limit: int) -> array:
     prime and for the placeholders 0 and 1.  Then each prime p <= sqrt(limit)
     (from ``primes_up_to``), in decreasing order, writes p over its multiples
     from p^2 on, so every composite is last written by its least prime
-    divisor.  The slice written for p = 2 is a temporary half the table's
-    size, so the peak, and the charge, is 6(limit + 1) bytes.
+    divisor.  The identity is built by appends and may keep ``grown``'s
+    slack, and the slice written for p = 2 is a temporary half the table's
+    size; that peak, ``spf_table_bytes``, is charged.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
     if limit >= 1 << 32:
         raise CapacityError(f"limit {limit} does not fit 32-bit table entries")
-    charge_budget(6 * (limit + 1), "smallest-prime-factor table")
+    charge_budget(spf_table_bytes(limit), "smallest-prime-factor table")
 
     spf = array("I", range(limit + 1))
     for p in reversed(primes_up_to(isqrt(limit))):

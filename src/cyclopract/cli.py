@@ -42,6 +42,7 @@ from .counting import (
 from .errors import CapacityError
 from .orders import sieve_order_star
 from .practicality import (
+    check_oracle_cap,
     degree_multiset,
     dp_coverage_oracle,
     is_p_practical,
@@ -206,6 +207,7 @@ def _cmd_test(args) -> int:
     if not verdict.practical:
         line += f" witness_gap={verdict.witness_gap}"
         if args.witness:
+            check_oracle_cap(args.n)
             ms = phi_degree_multiset(args.n) if args.phi else degree_multiset(args.n, args.prime)
             sound = dp_coverage_oracle(ms) == verdict
             line += f" witness_verified={'yes' if sound else 'NO'}"

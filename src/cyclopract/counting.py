@@ -34,12 +34,11 @@ from __future__ import annotations
 import json
 import os
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
 from math import isqrt, lcm, log
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .arith import primes_up_to
 from .errors import CapacityError
@@ -47,15 +46,13 @@ from .orders import prime_order_keys
 from .practicality import greedy_gap, merged_degree_weights, order_ladder, phi_ladder
 
 
-@dataclass(frozen=True)
-class CountRow:
+class CountRow(NamedTuple):
     X: int
     count: int
     ratio: float
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(NamedTuple):
     """Rows (X, count, count/(X/log X)) over F_base, or over Z when base is None."""
 
     base: int | None

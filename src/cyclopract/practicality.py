@@ -21,18 +21,16 @@ and the polynomial-factorization oracle live in ``tests/oracles.py``.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from math import lcm
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .arith import DEFAULT_DIVISOR_CAP, divisor_phi_pairs, factorize_trial, is_prime
 from .errors import CapacityError
 from .orders import lifted_orders, mult_order_star, prime_order
 
 
-@dataclass(frozen=True)
-class DegreeMultiset:
+class DegreeMultiset(NamedTuple):
     """(degree, count) entries, one per divisor of n; degrees may repeat."""
 
     n: int
@@ -46,8 +44,7 @@ class DegreeMultiset:
         return agg
 
 
-@dataclass(frozen=True)
-class PracticalVerdict:
+class PracticalVerdict(NamedTuple):
     """Decision plus, on failure, the smallest unreachable degree."""
 
     practical: bool
@@ -88,14 +85,19 @@ def phi_degree_multiset(n: int) -> DegreeMultiset:
 DEFAULT_ORACLE_CAP = 10**5
 
 
+def check_oracle_cap(n: int) -> None:
+    """Refuse an n past ``DEFAULT_ORACLE_CAP``, the dense DP's reach."""
+    if n > DEFAULT_ORACLE_CAP:
+        raise CapacityError(f"n={n} exceeds oracle cap {DEFAULT_ORACLE_CAP}")
+
+
 def dp_reachable_mask(ms: DegreeMultiset) -> int:
     """Bitmask of sums reachable in 0..n with bounded multiplicities.
 
     Dense subset-sum table as an integer bitmask; counts are expanded by
     binary splitting so c copies cost O(log c) shift-or passes.
     """
-    if ms.n > DEFAULT_ORACLE_CAP:
-        raise CapacityError(f"n={ms.n} exceeds oracle cap {DEFAULT_ORACLE_CAP}")
+    check_oracle_cap(ms.n)
     full = (1 << (ms.n + 1)) - 1
     mask = 1
     for deg, cnt in ms.degree_counts().items():

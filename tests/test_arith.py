@@ -400,6 +400,32 @@ def test_prime_sieve_charges_flags_temporary_and_output(monkeypatch):
     assert limit // 2 + 4 * len(primes) <= peak <= charge, peak
 
 
+@pytest.mark.parametrize("limit, charge", [(10**5, 625_034), (10**6, 6_250_034)])
+def test_spf_table_peak_within_its_charge(monkeypatch, limit, charge):
+    # The identity table with an array's growth slack, 4 (n + n // 16 + 7)
+    # bytes for n = limit + 1 entries, and the temporary of about limit // 2
+    # entries written for p = 2.  At the charge tracemalloc's peak stays
+    # within it; one byte below, the build refuses before listing a prime.
+    monkeypatch.setenv(MEM_BUDGET_ENV, str(charge))
+    build_spf_table(100)  # warm the call path before tracing
+    tracemalloc.start()
+    try:
+        spf = build_spf_table(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spf[limit] == 2
+    assert 6 * limit <= peak <= charge, peak
+
+    def unlisted(limit):
+        raise AssertionError("primes listed before the budget check")
+
+    monkeypatch.setattr(arith, "primes_up_to", unlisted)
+    monkeypatch.setenv(MEM_BUDGET_ENV, str(charge - 1))
+    with pytest.raises(CapacityError, match=f"needs {charge} bytes"):
+        build_spf_table(limit)
+
+
 def test_memory_budget_enforced(monkeypatch):
     monkeypatch.setenv(MEM_BUDGET_ENV, "1000")
     with pytest.raises(CapacityError):

@@ -55,6 +55,39 @@ def test_test_subcommand_prime_witness(capsys):
     assert "practical=no witness_gap=2 witness_verified=yes" in out
 
 
+def test_witness_refuses_past_the_oracle_cap_before_building_degrees(capsys, monkeypatch):
+    # 5^10 7^8 11^6 13^4 has 3,465 divisors, some whose lambda passes 2^64;
+    # the cap is checked before any per-divisor degree is built.
+    n = "2848484651253657431640625"
+    code, out, err = run_cli(capsys, "test", n, "--prime", "2", "--witness")
+    assert (code, out) == (1, "")
+    assert err == f"error: n={n} exceeds oracle cap 100000\n"
+
+    def unbuilt(n):
+        raise AssertionError("degree multiset built past the oracle cap")
+
+    monkeypatch.setattr(cli, "phi_degree_multiset", unbuilt)
+    code, out, err = run_cli(capsys, "test", "100003", "--phi", "--witness")
+    assert (code, out) == (1, "")
+    assert err == "error: n=100003 exceeds oracle cap 100000\n"
+
+
+def test_cli_import_loads_no_machinery():
+    # The modules a fresh `import cyclopract.cli` adds to the interpreter's
+    # own start-up set; the fork pool is imported only by a count in parts.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cyclopract.__file__)))
+
+    def loaded(statement):
+        code = f"import sys; {statement}; print(' '.join(sys.modules))"
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, check=True)
+        return set(run.stdout.decode().split())
+
+    added = loaded("import cyclopract.cli") - loaded("pass")
+    assert "cyclopract.cli" in added
+    heavy = {"dataclasses", "inspect", "multiprocessing", "concurrent.futures"}
+    assert not added & heavy, sorted(added & heavy)
+
+
 def test_count_csv_small(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -434,7 +467,7 @@ P2_CSV_1E6 = (
 
 
 def test_p_count_fits_a_budget_below_an_spf_table(capsys, monkeypatch):
-    # An SPF table to 10^6 alone is charged 6,000,006 bytes; the count lists
+    # An SPF table to 10^6 alone is charged 6,250,034 bytes; the count lists
     # its primes with a byte sieve and factors q - 1 below 10^6 / 64 only.
     monkeypatch.setenv("CYCLO_MEM_BUDGET_BYTES", "1200000")
     code, out, err = run_cli(capsys, "count", "--prime", "2", "--limit", "1e6")
