@@ -19,6 +19,7 @@ from .arith import (
     build_spf_table,
     chain_sieve,
     charge_budget,
+    check_32_bit,
     factorize_trial,
     grown,
     is_prime,
@@ -147,6 +148,7 @@ def a_q_primes(a: int, q: int, bound: int) -> list[tuple[int, int]]:
         raise ValueError(f"q must be an odd prime, got {q}")
     if bound < q:
         raise ValueError(f"bound must be >= q, got {bound}")
+    check_32_bit(bound)
     table = spf_table_bytes(bound)
     sieve = (bound + 1) // 2 + bound // 6 + 4 * grown(prime_count_bound(bound))
     rows = grown(min(prime_count_bound(bound), (bound - 1) // (2 * q)))

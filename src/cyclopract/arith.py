@@ -25,8 +25,6 @@ from .errors import CapacityError
 MEM_BUDGET_ENV = "CYCLO_MEM_BUDGET_BYTES"
 DEFAULT_MEM_BUDGET = 4 << 30
 
-_U64_LIMIT = 1 << 64
-
 if array("I").itemsize != 4:  # pragma: no cover - true on all mainstream ABIs
     raise ImportError("platform 'I' array is not 32-bit; table layout unsupported")
 
@@ -53,6 +51,13 @@ def charge_budget(nbytes: int, what: str) -> None:
             f"{what} needs {nbytes} bytes but the budget is {budget} "
             f"(set {MEM_BUDGET_ENV} to raise it)"
         )
+
+
+def check_32_bit(limit: int) -> None:
+    """Refuse a limit at or past 2^32, which 32-bit entries cannot hold;
+    every sieve checks this before it computes its charge."""
+    if limit >= 1 << 32:
+        raise CapacityError(f"limit {limit} does not fit 32-bit table entries")
 
 
 def grown(n: int) -> int:
@@ -93,8 +98,7 @@ def build_spf_table(limit: int) -> array:
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
-    if limit >= 1 << 32:
-        raise CapacityError(f"limit {limit} does not fit 32-bit table entries")
+    check_32_bit(limit)
     charge_budget(spf_table_bytes(limit), "smallest-prime-factor table")
 
     spf = array("I", range(limit + 1))
@@ -167,6 +171,7 @@ def prime_power_sieve(
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
+    check_32_bit(limit)
     most = grown(prime_count_bound(limit))
     held = limit + 1 + grown(limit // 2) + most
     if per_prime is not None:
@@ -218,8 +223,7 @@ def primes_up_to(limit: int) -> array:
     """
     if limit < 2:
         return array("I")
-    if limit >= 1 << 32:
-        raise CapacityError(f"limit {limit} does not fit 32-bit prime entries")
+    check_32_bit(limit)
     size = (limit + 1) // 2
     charge_budget(size + limit // 6 + 4 * grown(prime_count_bound(limit)), "prime sieve")
     flags = bytearray(b"\x01") * size
@@ -256,6 +260,7 @@ def chain_sieve(limit: int, least_cofactor: Callable[[int], int]) -> bytearray:
     growth slack, and 1 KiB of headers; that is charged once, before the
     primes are listed, with pi(limit) bounded by ``prime_count_bound``.
     """
+    check_32_bit(limit)
     most = grown(prime_count_bound(limit))
     charge_budget(limit + 1 + limit // 2 + 4 * most + 1024, "chain sieve")
     primes = primes_up_to(limit)
@@ -436,14 +441,8 @@ def lambda_prime_power(q: int, e: int) -> int:
 
 
 def carmichael_lambda(f: Factorization) -> int:
-    """Exponent of the multiplicative group mod f.value; lambda(1) = 1.
-
-    Value is checked against the 64-bit contract of downstream tables even
-    though Python integers cannot overflow on their own.
-    """
+    """Exponent of the multiplicative group mod f.value; lambda(1) = 1."""
     lam = 1
     for q, e in f.factors:
         lam = lcm(lam, lambda_prime_power(q, e))
-        if lam >= _U64_LIMIT:
-            raise OverflowError(f"lambda({f.value}) exceeds 64-bit range")
     return lam

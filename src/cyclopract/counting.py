@@ -25,9 +25,9 @@ Over F_p the keys are computed at the chain primes alone
 per-n table is built.  Over Z a child prime is at most min(m + 2, N / m), so
 the walk needs only the primes up to sqrt(N) + 2.
 
-``parts`` deals the depth-2 subtrees out like cards, in walk order, and
-walks the parts in a fork pool; per-part, per-checkpoint counts merge by
-addition, so the output is identical for any number of parts.
+The depth-2 subtrees are dealt out like cards into at most one part per
+usable CPU, each walked by its own fork-pool worker; per-part counts merge
+by addition, so the output is identical for any number of parts.
 """
 from __future__ import annotations
 
@@ -299,9 +299,8 @@ def _run_workers(count_part: Callable[[int], list[int]], parts: int) -> list[lis
 
     _WORKER_STATE["count_part"] = count_part
     try:
-        workers = min(parts, usable_cpu_count())
         ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+        with ProcessPoolExecutor(max_workers=parts, mp_context=ctx) as pool:
             return list(pool.map(_count_worker, range(parts)))
     finally:
         _WORKER_STATE.clear()
@@ -311,8 +310,9 @@ def _count(
     p: int | None, limit: int, checkpoints: Sequence[int] | None, parts: int
 ) -> CountReport:
     """Exact counts at each checkpoint, over F_p or over Z when p is None:
-    one walk of the chain tree to the last checkpoint, in ``parts`` parts,
-    in a fork pool when there is more than one."""
+    one walk of the chain tree to the last checkpoint in min(parts, usable
+    CPUs) parts, one per fork-pool worker; one part, or any where the
+    platform cannot fork, walks once in this process."""
     if parts < 1:
         raise ValueError(f"parts must be >= 1, got {parts}")
     if limit < 2:
@@ -325,11 +325,9 @@ def _count(
             f"limit {limit} is at or above 2^32; a count walk that far would not finish"
         )
     walk = _phi_walk(cps[-1]) if p is None else _p_walk(p, cps[-1])
+    parts = min(parts, usable_cpu_count()) if hasattr(os, "fork") else 1
     count_part = partial(_count_part, walk, cps, parts)
-    if parts > 1 and hasattr(os, "fork"):
-        partials = _run_workers(count_part, parts)
-    else:
-        partials = [count_part(part) for part in range(parts)]
+    partials = _run_workers(count_part, parts) if parts > 1 else [count_part(0)]
     totals = [sum(column) for column in zip(*partials)]
     rows = tuple(CountRow(X=x, count=c, ratio=ratio_row(x, c)) for x, c in zip(cps, totals))
     return CountReport(base=p, rows=rows)
@@ -341,9 +339,9 @@ def count_p_practical_partitioned(
     checkpoints: Sequence[int] | None = None,
     parts: int = 1,
 ) -> CountReport:
-    """Exact F_p counts at each checkpoint; output does not depend on parts.
-    The chain keys are computed at the chain primes alone
-    (``prime_order_keys``); no table of limit entries is built."""
+    """Exact F_p counts at each checkpoint, in at most ``parts`` processes;
+    output does not depend on parts.  The chain keys come from the chain
+    primes alone (``prime_order_keys``); no table of limit entries is built."""
     return _count(p, limit, checkpoints, parts)
 
 
@@ -352,8 +350,9 @@ def count_phi_practical(
     checkpoints: Sequence[int] | None = None,
     parts: int = 1,
 ) -> CountReport:
-    """Exact phi-practical counts at each checkpoint, from the primes up to
-    sqrt(limit) + 2; no table of limit entries is built."""
+    """Exact phi-practical counts at each checkpoint, in at most ``parts``
+    processes, from the primes up to sqrt(limit) + 2; no table of limit
+    entries is built, and output does not depend on parts."""
     return _count(None, limit, checkpoints, parts)
 
 

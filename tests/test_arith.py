@@ -186,16 +186,16 @@ def test_basic_functions_examples():
     assert (tau(f1024), big_omega(f1024)) == (11, 10)
 
 
-def test_carmichael_overflow_guard():
-    # lcm beyond 64 bits must refuse rather than hand a bad value to tables
-    from cyclopract import Factorization
+def test_carmichael_lambda_past_64_bits():
+    # No table reads lambda, so a value past 64 bits is returned as is.
+    from cyclopract import Factorization, mult_order
 
     p1 = (1 << 41) - 31  # prime
     p2 = (1 << 42) - 11  # prime
     assert is_prime(p1) and is_prime(p2)
     f = Factorization(p1 * p2, ((p1, 1), (p2, 1)))
-    with pytest.raises(OverflowError):
-        carmichael_lambda(f)
+    assert carmichael_lambda(f) == math.lcm(p1 - 1, p2 - 1)
+    assert mult_order(2, 5**30) == 4 * 5**29
 
 
 def test_is_prime_against_trial_division():

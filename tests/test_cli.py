@@ -615,6 +615,30 @@ def test_huge_count_limit_is_a_capacity_error(capsys):
     assert "a count walk that far would not finish" in err
 
 
+@pytest.mark.parametrize("limit", ["1e400", "1e12"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orders", "--base", "2"],
+        ["stats", "zdense", "--z", "3"],
+        ["stats", "aq", "--base", "2", "--q", "3"],
+        ["stats", "tau", "--kappa", "4"],
+        ["stats", "omegaphi"],
+        ["stats", "smoothlambda", "--B", "5", "--Y", "10"],
+        ["stats", "ratios", "--base", "2"],
+        ["stats", "smallorder", "--base", "2", "--bound", "10"],
+    ],
+    ids=["orders", "zdense", "aq", "tau", "omegaphi", "smoothlambda", "ratios", "smallorder"],
+)
+def test_table_limit_past_32_bits_exits_1(capsys, argv, limit):
+    # Refused before any charge is computed: no float error from the prime
+    # count bound, and no budget hint, since no budget lets such a table fit.
+    code, out, err = run_cli(capsys, *argv, "--limit", limit)
+    assert (code, out) == (1, "")
+    assert "32-bit table entries" in err
+    assert "convert to float" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

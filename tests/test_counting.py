@@ -125,6 +125,40 @@ def test_partition_invariance_small():
             assert again == baseline, kind
 
 
+def test_count_runs_one_part_per_usable_cpu(monkeypatch):
+    # However many parts are asked for, a count deals no more than it has
+    # CPUs for; the fake pool walks its parts here and starts no process.
+    monkeypatch.setattr(counting, "usable_cpu_count", lambda: 2)
+    dealt = []
+
+    def fake_pool(count_part, parts):
+        assert parts <= 2, parts
+        dealt.append(parts)
+        return [count_part(part) for part in range(parts)]
+
+    monkeypatch.setattr(counting, "_run_workers", fake_pool)
+    assert count_phi_practical(10**4, parts=10**6) == count_phi_practical(10**4, parts=1)
+    p_report = count_p_practical_partitioned(3, 10**4, parts=10**6)
+    assert p_report == count_p_practical_partitioned(3, 10**4, parts=1)
+    assert dealt == [2, 2]
+
+
+def test_count_without_fork_walks_once(monkeypatch):
+    # Where the platform cannot fork, the parts asked for become one walk.
+    monkeypatch.delattr(counting.os, "fork")
+    real_count_part = counting._count_part
+    walks = []
+
+    def count_part(walk, checkpoints, parts, part):
+        walks.append((parts, part))
+        return real_count_part(walk, checkpoints, parts, part)
+
+    monkeypatch.setattr(counting, "_count_part", count_part)
+    report = count_phi_practical(10**4, parts=4)
+    assert walks == [(1, 0)]
+    assert report == count_phi_practical(10**4, parts=1)
+
+
 def test_stream_agrees_with_single_shot(order_tables):
     # The count path (the walk of the chain tree) against the
     # divisor-by-divisor oracle, not against the shared kernel.
