@@ -14,6 +14,7 @@ from .analysis import (
     tau_threshold_count,
 )
 from .arith import (
+    CapacityError,
     Factorization,
     build_spf_table,
     carmichael_lambda,
@@ -30,7 +31,6 @@ from .counting import (
     render_json,
     render_text,
 )
-from .errors import CapacityError
 from .orders import (
     coprime_part,
     mult_order,

@@ -27,6 +27,7 @@ from .arith import (
     prime_count_bound,
     prime_power_sieve,
     prime_powers,
+    prime_sieve_bytes,
     primes_up_to,
     spf_table_bytes,
 )
@@ -138,8 +139,9 @@ def a_q_primes(a: int, q: int, bound: int) -> list[tuple[int, int]]:
     """(p, ord(a mod p)) for the primes p <= bound with p = 1 (mod q) and
     a^((p-1)/q) = 1 (mod p); an SPF table to bound factors each p - 1 for
     its order.  One charge, made before the table is built, covers all the
-    scan holds: the table with its build temporary, the prime sieve, and at
-    most min(pi(bound), (bound - 1) // 2q) rows (each p is 1 mod 2q) of 128
+    scan holds: the table with its build temporary (``spf_table_bytes``),
+    the prime sieve (``prime_sieve_bytes``), and at most
+    min(pi(bound), (bound - 1) // 2q) rows (each p is 1 mod 2q) of 128
     bytes, a list slot, a 2-tuple and two ints; arrays and the list with
     their growth slack (``grown``), and 1 KiB of headers."""
     if a < 2:
@@ -149,10 +151,9 @@ def a_q_primes(a: int, q: int, bound: int) -> list[tuple[int, int]]:
     if bound < q:
         raise ValueError(f"bound must be >= q, got {bound}")
     check_32_bit(bound)
-    table = spf_table_bytes(bound)
-    sieve = (bound + 1) // 2 + bound // 6 + 4 * grown(prime_count_bound(bound))
     rows = grown(min(prime_count_bound(bound), (bound - 1) // (2 * q)))
-    charge_budget(table + sieve + 128 * rows + 1024, "A_q scan")
+    peak = spf_table_bytes(bound) + prime_sieve_bytes(bound) + 128 * rows
+    charge_budget(peak + 1024, "A_q scan")
     spf = build_spf_table(bound)
     primes = primes_up_to(bound)
     return [

@@ -10,6 +10,9 @@ function fixed by its values on prime powers for every n up to a limit, and
 copies, which is how ``stats zdense`` rejects most n.  A value that depends on the factors of
 q - 1 is computed once per prime, in the prime-power sieve's per-prime pass,
 whose SPF table is freed before the sieve's own table is allocated.
+
+Every table charges its peak bytes to one budget (``charge_budget``) before
+it is built; a refusal, like every other cap, raises ``CapacityError``.
 """
 from __future__ import annotations
 
@@ -19,8 +22,6 @@ from collections import Counter
 from itertools import compress, count, repeat
 from math import gcd, isqrt, lcm, log
 from typing import Callable, Iterator, NamedTuple
-
-from .errors import CapacityError
 
 MEM_BUDGET_ENV = "CYCLO_MEM_BUDGET_BYTES"
 DEFAULT_MEM_BUDGET = 4 << 30
@@ -41,6 +42,10 @@ def memory_budget() -> int:
     if value <= 0:
         raise ValueError(f"{MEM_BUDGET_ENV} must be positive, got {value}")
     return value
+
+
+class CapacityError(Exception):
+    """A requested table, divisor list, or scan exceeds a configured cap."""
 
 
 def charge_budget(nbytes: int, what: str) -> None:
@@ -70,6 +75,12 @@ def spf_table_bytes(limit: int) -> int:
     """Peak bytes of ``build_spf_table(limit)``: the table with its growth
     slack and the temporary half its size written for p = 2."""
     return 4 * grown(limit + 1) + 2 * (limit + 1)
+
+
+def prime_sieve_bytes(limit: int) -> int:
+    """Peak bytes of ``primes_up_to(limit)``: its flags, the temporary
+    written for r = 3 and the output with its growth slack."""
+    return (limit + 1) // 2 + limit // 6 + 4 * grown(prime_count_bound(limit))
 
 
 class Factorization(NamedTuple):
@@ -219,13 +230,13 @@ def primes_up_to(limit: int) -> array:
     r = 3 is a temporary of at most limit // 6 bytes.  The output holds
     pi(limit) <= ``prime_count_bound(limit)`` entries, plus its growth slack
     (``grown``).  The flags, that temporary and that output are charged
-    together.
+    together, as ``prime_sieve_bytes``.
     """
     if limit < 2:
         return array("I")
     check_32_bit(limit)
     size = (limit + 1) // 2
-    charge_budget(size + limit // 6 + 4 * grown(prime_count_bound(limit)), "prime sieve")
+    charge_budget(prime_sieve_bytes(limit), "prime sieve")
     flags = bytearray(b"\x01") * size
     for r in range(3, isqrt(limit) + 1, 2):
         if flags[r // 2]:

@@ -30,7 +30,7 @@ from .analysis import (
     resolve_thresholds,
     tau_threshold_count,
 )
-from .arith import MILLER_RABIN_PROVEN_BELOW, is_prime
+from .arith import MILLER_RABIN_PROVEN_BELOW, CapacityError, is_prime
 from .counting import (
     count_p_practical_partitioned,
     count_phi_practical,
@@ -39,7 +39,6 @@ from .counting import (
     render_text,
     usable_cpu_count,
 )
-from .errors import CapacityError
 from .orders import sieve_order_star
 from .practicality import (
     check_oracle_cap,

@@ -40,8 +40,7 @@ from math import isqrt, lcm, log
 from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
-from .arith import primes_up_to
-from .errors import CapacityError
+from .arith import CapacityError, primes_up_to
 from .orders import prime_order_keys
 from .practicality import greedy_gap, merged_degree_weights, order_ladder, phi_ladder
 
@@ -318,11 +317,11 @@ def _count(
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
     cps = _resolve_checkpoints(limit, checkpoints)
-    if limit >= 1 << 32:
+    if cps[-1] >= 1 << 32:
         # The walk's node count grows about as N / log N; at 10^8 it takes
-        # about half a minute, so a limit like 1e400 would never end.
+        # several seconds, so a checkpoint like 1e400 would never end.
         raise CapacityError(
-            f"limit {limit} is at or above 2^32; a count walk that far would not finish"
+            f"checkpoint {cps[-1]} is at or above 2^32; a count walk that far would not finish"
         )
     walk = _phi_walk(cps[-1]) if p is None else _p_walk(p, cps[-1])
     parts = min(parts, usable_cpu_count()) if hasattr(os, "fork") else 1

@@ -9,8 +9,9 @@ greedy decides.
 
 Every degree is built from the prime powers q^a of d: over F_p it is the
 lcm of ord(p mod q^a), over Z the product of phi(q^a).  The per-field
-ladders of those degrees live here, ``order_ladder`` (ord(p mod q) lifted to
-q^e) and ``phi_ladder``.  ``merged_degree_weights`` builds the degree ->
+ladders of those degrees live here: ``order_ladder`` for a count, a
+``functools.cache`` over ``orders.lifted_orders`` (ord(p mod q) lifted to
+q^e), and ``phi_ladder``.  ``merged_degree_weights`` builds the degree ->
 weight map from the prime powers of n, and ``greedy_gap`` runs the greedy
 over it; every verdict, ``is_p_practical``, ``is_phi_practical`` and both
 counts, runs this one kernel.  ``degree_multiset`` and
@@ -21,12 +22,12 @@ and the polynomial-factorization oracle live in ``tests/oracles.py``.
 from __future__ import annotations
 
 from array import array
+from functools import cache
 from math import lcm
 from operator import mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .arith import DEFAULT_DIVISOR_CAP, divisor_phi_pairs, factorize_trial, is_prime
-from .errors import CapacityError
+from .arith import DEFAULT_DIVISOR_CAP, CapacityError, divisor_phi_pairs, factorize_trial, is_prime
 from .orders import lifted_orders, mult_order_star, prime_order
 
 
@@ -123,20 +124,9 @@ def dp_coverage_oracle(ms: DegreeMultiset) -> PracticalVerdict:
 
 def order_ladder(p: int, keys: dict[int, int]) -> Callable[[int, int], Sequence[int]]:
     """orders(q, e): order_star(p, q^j) for j = 1..e, lifted by
-    ``lifted_orders`` from keys[q] = order_star(p, q).  Each q^e with
-    e >= 2 is lifted once."""
-    lifted: dict[int, list[int]] = {}
-
-    def orders(q: int, e: int) -> Sequence[int]:
-        if e == 1:
-            return (keys[q],)
-        qe = q**e
-        got = lifted.get(qe)
-        if got is None:
-            got = lifted[qe] = lifted_orders(p, q, e, keys[q])
-        return got
-
-    return orders
+    ``lifted_orders`` from keys[q] = order_star(p, q), each (q, e) once.
+    The lists are cached and shared, so callers must not change them."""
+    return cache(lambda q, e: lifted_orders(p, q, e, keys[q]))
 
 
 def phi_ladder(q: int, e: int) -> list[int]:
@@ -198,15 +188,16 @@ def is_p_practical(n: int, p: int) -> PracticalVerdict:
 
     Factors n and each q - 1 once by ``factorize_trial``, takes
     order_star(p, q) by ``prime_order`` once per prime q of n, lifts it to
-    q^e by ``order_ladder``, and runs the greedy over
-    ``merged_degree_weights``.  ``dp_coverage_oracle`` over ``degree_multiset``
+    q^e by ``lifted_orders``, and runs the greedy over
+    ``merged_degree_weights``.  Each q is asked for once, so nothing is
+    cached: building ``order_ladder``'s cache costs about a fifth of a
+    decision of n below 10^5.  ``dp_coverage_oracle`` over ``degree_multiset``
     is the independent oracle for the same verdict and witness.
     """
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
-    factors = factorize_trial(n).factors
-    keys = {q: prime_order(p, q) for q, _ in factors}
-    gap = greedy_gap(merged_degree_weights(factors, order_ladder(p, keys)))
+    ladder = lambda q, e: lifted_orders(p, q, e, prime_order(p, q))
+    gap = greedy_gap(merged_degree_weights(factorize_trial(n).factors, ladder))
     return PracticalVerdict(practical=gap is None, witness_gap=gap)
 
 

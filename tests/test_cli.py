@@ -615,6 +615,20 @@ def test_huge_count_limit_is_a_capacity_error(capsys):
     assert "a count walk that far would not finish" in err
 
 
+def test_count_refuses_by_its_last_checkpoint_not_its_limit(capsys):
+    code, out, err = run_cli(
+        capsys, "count", "--prime", "2", "--limit", "1e10", "--checkpoints", "100,1000"
+    )
+    assert (code, err) == (0, "")
+    assert out == "X,count,ratio\n100,34,1.565758\n1000,243,1.678585\n"
+    code, out, err = run_cli(
+        capsys, "count", "--phi", "--limit", "1e10", "--checkpoints", "1e10"
+    )
+    assert code == 1
+    assert out == ""
+    assert "checkpoint 10000000000 is at or above 2^32" in err
+
+
 @pytest.mark.parametrize("limit", ["1e400", "1e12"])
 @pytest.mark.parametrize(
     "argv",

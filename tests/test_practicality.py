@@ -14,8 +14,9 @@ from cyclopract import (
     is_phi_practical,
     phi_degree_multiset,
 )
-from cyclopract import practicality
-from cyclopract.practicality import merged_degree_weights
+from cyclopract import count_p_practical_partitioned, practicality
+from cyclopract.orders import lifted_orders, prime_order_keys
+from cyclopract.practicality import merged_degree_weights, order_ladder
 from oracles import coverage_check, poly_factor_degrees_oracle
 
 SMOOTH_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -223,3 +224,32 @@ def test_merged_map_capacity_is_enforced(monkeypatch):
     with pytest.raises(CapacityError):
         merged_degree_weights([(3, 1), (5, 1), (7, 1), (11, 1)], lambda q, e: [q])
     assert len(merged_degree_weights([(3, 1), (5, 1), (7, 1)], lambda q, e: [q])) == 8
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_order_ladder_is_the_lifted_orders(p):
+    top = 10**5
+    keys = prime_order_keys(p, top)
+    ladder = order_ladder(p, keys)
+    for q in keys:
+        e = 1
+        while q**e <= top:
+            got = list(ladder(q, e))
+            assert got == lifted_orders(p, q, e, keys[q]), (q, e)
+            if q == p:
+                assert got == [1] * e
+            e += 1
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_count_lifts_each_prime_power_once(monkeypatch, p):
+    expected = count_p_practical_partitioned(p, 10**5)
+    lifted = []
+
+    def counted(a, q, k, t):
+        lifted.append((q, k))
+        return lifted_orders(a, q, k, t)
+
+    monkeypatch.setattr(practicality, "lifted_orders", counted)
+    assert count_p_practical_partitioned(p, 10**5) == expected
+    assert lifted and len(lifted) == len(set(lifted))
