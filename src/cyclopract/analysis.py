@@ -223,8 +223,14 @@ def omega_phi_distribution(limit: int) -> dict[int, int]:
     """
 
     def omega_q_minus_1(q: int, spf: array) -> int:
-        """Omega(q - 1), the sum of the exponents of q - 1."""
-        return sum(k for _, k in prime_powers(q - 1, spf))
+        """Omega(q - 1), the prime factors of q - 1 with multiplicity: one
+        per step m -> m // spf[m] from q - 1 down to 1."""
+        m = q - 1
+        steps = 0
+        while m > 1:
+            m //= spf[m]
+            steps += 1
+        return steps
 
     def omega_phi_prime_power(q: int, e: int, omega: int) -> int:
         """Omega(phi(q^e)) from omega = Omega(q - 1): phi(q^e) is

@@ -1,6 +1,7 @@
 import collections
 import functools
 import math
+import operator
 import tracemalloc
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ from cyclopract import (
     tau_threshold_count,
 )
 from cyclopract import analysis, arith
-from cyclopract.arith import MEM_BUDGET_ENV, chain_sieve, prime_powers
+from cyclopract.arith import MEM_BUDGET_ENV, chain_sieve, prime_power_sieve, prime_powers
 from oracles import big_omega, euler_phi, is_z_dense
 
 
@@ -433,6 +434,32 @@ def test_tau_sieve_property(limit, kappa):
 def test_omega_phi_sieve_property(limit):
     expected = collections.Counter(reference_row(n)[1] for n in range(1, limit + 1))
     assert omega_phi_distribution(limit) == expected
+
+
+# Limits at the edges of the prime-power sieve's head, which writes the
+# 31-smooth n, and its slices, which start at 37: 31^2, 2^10, 37^2 and 2^11.
+HEAD_EDGE_LIMITS = (1, 2, 30, 31, 32, 36, 37, 38, 961, 1024, 1369, 2048)
+
+
+@pytest.mark.parametrize("limit", HEAD_EDGE_LIMITS)
+def test_sieves_at_the_head_edges(limit):
+    for base in (2, 3, 6, 10):
+        values = sieve_order_star(base, limit)
+        assert list(values[1:]) == [mult_order_star(base, n) for n in range(1, limit + 1)], base
+    for skip_base in (2, 3):
+        values = lambda_star_table(limit, skip_base=skip_base)
+        expected = [
+            carmichael_lambda(factorize_trial(coprime_part(n, skip_base)))
+            for n in range(1, limit + 1)
+        ]
+        assert list(values[1:]) == expected, skip_base
+    rows = [reference_row(n) for n in range(1, limit + 1)]
+    taus = prime_power_sieve(limit, lambda q, e, _: e + 1, operator.mul)
+    assert list(taus[1:]) == [row[0] for row in rows]
+    omega_q_minus_1 = lambda q, _: big_omega(factorize_trial(q - 1))
+    omegas = prime_power_sieve(limit, lambda q, e, w: e - 1 + w, operator.add, 0, omega_q_minus_1)
+    assert list(omegas[1:]) == [row[1] for row in rows]
+    assert omega_phi_distribution(limit) == collections.Counter(row[1] for row in rows)
 
 
 @settings(max_examples=20, deadline=None)

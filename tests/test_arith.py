@@ -244,39 +244,65 @@ def grown_primes(limit):
     return most + most // 16 + 7
 
 
+def head_rungs(limit):
+    """Powers q^e <= limit of the head primes, the primes up to 31."""
+    head = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+    return sum(1 for q in head for e in range(1, 33) if q**e <= limit)
+
+
 def sieve_charge(limit, per_prime):
-    """The prime-power sieve's whole charge: the table, the temporary for
-    q = 2 and the primes, with the per-prime values when there are any,
-    each but the table with an array's growth slack, and 1 KiB for object
-    headers."""
-    half = limit // 2
+    """The prime-power sieve's whole charge: the larger of what the walk
+    holds (the table, the temporary for q = 37 with an array's growth
+    slack, the head's ladders at 136 bytes a rung and 2 KiB for its lists
+    and frames) and, with per-prime values, what the per-prime pass holds
+    (the SPF table to limit - 1 at its peak); then the primes, with the
+    per-prime values when there are any, each with growth slack, and 1 KiB
+    for object headers."""
+    top = limit // 37
+    held = 4 * (limit + 1 + top + top // 16 + 7) + 136 * head_rungs(limit) + 2048
+    if per_prime:
+        held = max(held, 4 * (limit + limit // 16 + 7) + 2 * limit)
     values = 2 if per_prime else 1
-    return 4 * (limit + 1 + half + half // 16 + 7 + values * grown_primes(limit)) + 1024
+    return held + 4 * values * grown_primes(limit) + 1024
 
 
 def test_prime_power_sieve_charges_table_and_temporary(monkeypatch):
     # The whole charge is refused one byte below it and passes at it; at
-    # 10^5 tracemalloc's peak stays within that charge.
-    limit = 1000
-    charge = sieve_charge(limit, None)
+    # 10^3 and 10^5 tracemalloc's peak stays within that charge, and holds
+    # the table and the temporary for q = 37.
     tau_of = lambda q, e, _: e + 1
-    monkeypatch.setenv(MEM_BUDGET_ENV, str(charge - 1))
-    with pytest.raises(CapacityError):
-        prime_power_sieve(limit, tau_of, operator.mul)
-    monkeypatch.setenv(MEM_BUDGET_ENV, str(charge))
-    assert prime_power_sieve(limit, tau_of, operator.mul)[720] == 30
-    limit = 10**5
-    half = limit // 2
-    charge = sieve_charge(limit, None)
-    monkeypatch.setenv(MEM_BUDGET_ENV, str(charge))
-    tracemalloc.start()
-    try:
-        taus = prime_power_sieve(limit, tau_of, operator.mul)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert taus[83160] == 128
-    assert 4 * (limit + half) <= peak <= charge, peak
+    for limit, n, tau_n in ((1000, 720, 30), (10**5, 83160, 128)):
+        charge = sieve_charge(limit, None)
+        monkeypatch.setenv(MEM_BUDGET_ENV, str(charge - 1))
+        with pytest.raises(CapacityError):
+            prime_power_sieve(limit, tau_of, operator.mul)
+        monkeypatch.setenv(MEM_BUDGET_ENV, str(charge))
+        prime_power_sieve(limit, tau_of, operator.mul)  # warm the call path before tracing
+        tracemalloc.start()
+        try:
+            taus = prime_power_sieve(limit, tau_of, operator.mul)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert taus[n] == tau_n
+        assert 4 * (limit + limit // 37) <= peak <= charge, (limit, peak)
+
+
+def test_prime_power_sieve_combines_about_once_per_n():
+    # The head writes each 31-smooth n once and the slices start at 37, so
+    # tau to 10^5 takes 116,456 products, not one per prime power of each
+    # multiple (343,614 with slices from q = 2).
+    calls = 0
+
+    def counting_mul(a, b):
+        nonlocal calls
+        calls += 1
+        return a * b
+
+    tau_of = lambda q, e, _: e + 1
+    taus = prime_power_sieve(10**5, tau_of, counting_mul)
+    assert calls <= 125_000, calls
+    assert taus == prime_power_sieve(10**5, tau_of, operator.mul)
 
 
 def omega_q_minus_1(q, spf):
@@ -285,7 +311,8 @@ def omega_q_minus_1(q, spf):
 
 def test_prime_power_sieve_frees_its_spf_table_first(monkeypatch):
     # With a per-prime value the charge adds the per-prime array, as many
-    # entries as the primes.  The pass's SPF table is freed before the
+    # entries as the primes, and covers the pass's SPF table at its own
+    # peak, which exceeds the walk's.  That table is freed before the
     # sieve's table is allocated: at 10^5 tracemalloc's peak stays within
     # the charge, and below the SPF table and the sieve's table with its
     # temporary held together.

@@ -400,12 +400,14 @@ def test_capacity_error_exits_1(capsys, monkeypatch):
 
 # tracemalloc peaks of whole commands at N = 10^5, in units of N bytes.  The
 # SPF table of a per-prime pass is freed before the sieve's table is
-# allocated and no scan copies a table, so a command holds one table of N
-# entries, its slice temporary and the primes, about 7N; `ratios` holds the
-# order table while it sieves lambda*, about 11N.  An SPF table (4N) held
-# through the sieve, or a slice copy of a table for a scan, breaks these
-# bounds.  argparse loads gettext and locale on its first parse, about 2N at
-# 10^5 that does not grow with N, so one parse runs before tracing.
+# allocated and no scan copies a table, so a command with a per-prime pass
+# peaks while it builds that SPF table, about 6.9N; `tau` holds one table of
+# N entries, the primes and a slice temporary of N/37 entries, about 4.9N;
+# `ratios` holds the order table while it sieves lambda*, about 9N.  An SPF
+# table (4N) held through the sieve, a slice temporary of N/2 entries (2N),
+# or a slice copy of a table for a scan, breaks these bounds.  argparse
+# loads gettext and locale on its first parse, about 2N at 10^5 that does
+# not grow with N, so one parse runs before tracing.
 MEMORY_N = 10**5
 
 
@@ -416,8 +418,8 @@ MEMORY_N = 10**5
         pytest.param(("stats", "omegaphi"), 8, id="omegaphi"),
         pytest.param(("stats", "smoothlambda", "--B", "7", "--Y", "50"), 8, id="smoothlambda"),
         pytest.param(("stats", "smallorder", "--base", "2", "--bound", "1000"), 8, id="smallorder"),
-        pytest.param(("stats", "tau", "--kappa", "32"), 8, id="tau"),
-        pytest.param(("stats", "ratios", "--base", "2", "--psi", "100"), 11.5, id="ratios"),
+        pytest.param(("stats", "tau", "--kappa", "32"), 6, id="tau"),
+        pytest.param(("stats", "ratios", "--base", "2", "--psi", "100"), 9.5, id="ratios"),
     ],
 )
 def test_command_peak_memory(capsys, argv, most):
